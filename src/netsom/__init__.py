@@ -11,12 +11,11 @@ from .metrics import (FEATURE_NAMES, NodeFeatures, compute_all,
                       degree_assortativity, read_features_csv,
                       write_features_csv)
 from .som import (CellAssignment, CellStats, SomGrid, assign_nodes,
-                  cell_stats, denormalize_features, load_som_json,
-                  normalize_features, quantization_error, save_som_json,
-                  train_som)
+                  cell_stats, load_som_json, normalize_features,
+                  quantization_error, save_som_json, train_som)
 from .simtrace import SimTrace, read_trace_csv, write_trace_csv
-from .sir import SirState, infection_probability, init_sir, run_sir, step_sir
-from .spd import SpdState, init_spd, play_round, run_spd, update_strategies
+from .sir import init_sir, run_sir
+from .spd import init_spd, play_round, run_spd, update_strategies
 from .render import (default_palette, ramp_color, render_heatmaps,
                      render_pie_lattice, render_timeline)
 from .pipeline import full_run, derive_seed
@@ -29,11 +28,11 @@ __all__ = [
     "compute_betweenness", "compute_clustering", "degree_assortativity",
     "read_features_csv", "write_features_csv",
     "SomGrid", "CellAssignment", "CellStats", "normalize_features",
-    "denormalize_features", "train_som", "assign_nodes", "cell_stats",
+    "train_som", "assign_nodes", "cell_stats",
     "quantization_error", "save_som_json", "load_som_json",
     "SimTrace", "read_trace_csv", "write_trace_csv",
-    "SirState", "init_sir", "step_sir", "run_sir", "infection_probability",
-    "SpdState", "init_spd", "play_round", "update_strategies", "run_spd",
+    "init_sir", "run_sir",
+    "init_spd", "play_round", "update_strategies", "run_spd",
     "render_heatmaps", "render_pie_lattice", "render_timeline",
     "ramp_color", "default_palette",
     "full_run", "derive_seed",

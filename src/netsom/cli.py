@@ -11,7 +11,8 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .pipeline import ConfigError, PipelineError
+from .config import DEFAULT_CONFIG, ConfigError
+from .pipeline import PipelineError
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -30,6 +31,9 @@ def _parse_times(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    seed = DEFAULT_CONFIG["seed"]
+    gen, som = DEFAULT_CONFIG["generate"], DEFAULT_CONFIG["som"]
+    radius = DEFAULT_CONFIG["render"]["radius_mode"]
     parser = argparse.ArgumentParser(
         prog="netsom",
         description="Generate growth-model networks, categorize nodes on a "
@@ -39,11 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a growth-model network as an edge list")
     p.add_argument("--model", choices=("hk", "cnn"), required=True)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--m", type=int, default=4, help="edges per arriving node (hk)")
-    p.add_argument("--pt", type=float, default=0.9, help="triad-formation probability (hk)")
-    p.add_argument("--u", type=float, default=0.75, help="conversion probability (cnn)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, default=gen["n"])
+    p.add_argument("--m", type=int, default=gen["m"], help="edges per arriving node (hk)")
+    p.add_argument("--pt", type=float, default=gen["p_t"], help="triad-formation probability (hk)")
+    p.add_argument("--u", type=float, default=gen["u"], help="conversion probability (cnn)")
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("metrics", help="compute per-node features to CSV")
@@ -52,9 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("categorize", help="train the SOM and assign nodes to cells")
     p.add_argument("features")
-    p.add_argument("--grid", type=_parse_grid, default=(5, 5), metavar="WxH")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=_parse_grid,
+                   default=(som["width"], som["height"]), metavar="WxH")
+    p.add_argument("--epochs", type=int, default=som["epochs"])
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--log-features", default="",
                    help="comma-separated feature names to log10(1+x)-scale first")
     p.add_argument("-o", "--out-prefix", default=None)
@@ -62,26 +67,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a simulation over an assigned graph")
     sim = p.add_subparsers(dest="sim", required=True)
 
-    ps = sim.add_parser("sir", help="asynchronous SIR epidemic")
-    ps.add_argument("edges")
-    ps.add_argument("assignment")
-    ps.add_argument("--lambda", dest="lam", type=float, default=0.2)
-    ps.add_argument("--mu", type=float, default=1.0)
-    ps.add_argument("--dt", type=float, default=0.01)
-    ps.add_argument("--initial", type=int, default=10)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--snapshot-every", type=float, default=0.5)
-    ps.add_argument("-o", "--output", default=None)
-
-    pd = sim.add_parser("spd", help="spatial prisoner's dilemma")
-    pd.add_argument("edges")
-    pd.add_argument("assignment")
-    pd.add_argument("--T", "--temptation", dest="T", type=float, default=1.5)
-    pd.add_argument("--eps", type=float, default=0.0)
-    pd.add_argument("--seed", type=int, default=0)
-    pd.add_argument("--max-rounds", type=int, default=100)
-    pd.add_argument("--tie", choices=("min_id", "random"), default="min_id")
-    pd.add_argument("-o", "--output", default=None)
+    for name, text in (("sir", "asynchronous SIR epidemic"),
+                       ("spd", "spatial prisoner's dilemma")):
+        ps = sim.add_parser(name, help=text)
+        ps.add_argument("edges")
+        ps.add_argument("assignment")
+        # one option per key of the config section: snapshot_every is
+        # --snapshot-every, and the result is the section's params
+        for key, value in DEFAULT_CONFIG[name].items():
+            flags = ["--" + key.replace("_", "-")]
+            if key == "T":
+                flags.append("--temptation")
+            ps.add_argument(*flags, dest=key, type=type(value), default=value,
+                            choices=("min_id", "random") if key == "tie" else None)
+        ps.add_argument("--seed", type=int, default=seed)
+        ps.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("render", help="render SVG figures from CSV artifacts")
     ren = p.add_subparsers(dest="what", required=True)
@@ -93,13 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     pp = ren.add_parser("pies", help="pie lattice for one snapshot")
     pp.add_argument("trace")
     pp.add_argument("--t", type=float, required=True)
-    pp.add_argument("--radius", choices=("fixed", "population"), default="fixed")
+    pp.add_argument("--radius", choices=("fixed", "population"), default=radius)
     pp.add_argument("-o", "--output", required=True)
 
     pt = ren.add_parser("timeline", help="pie lattices for several snapshots")
     pt.add_argument("trace")
     pt.add_argument("--times", type=_parse_times, default=None)
-    pt.add_argument("--radius", choices=("fixed", "population"), default="fixed")
+    pt.add_argument("--radius", choices=("fixed", "population"), default=radius)
     pt.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("run", help="full pipeline from a JSON config")
@@ -122,13 +122,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except PipelineError as exc:
-        print(f"netsom: {exc}", file=sys.stderr)
-        return 3
     except ConfigError as exc:
         print(f"netsom: config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"netsom: {exc}", file=sys.stderr)
         return 3
 
@@ -149,9 +146,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "categorize":
-        prefix = args.out_prefix
-        if prefix is None:
-            prefix = str(_default_output(args.features, ".features.csv", ""))
+        prefix = args.out_prefix or str(_default_output(args.features,
+                                                        ".features.csv", ""))
         names = tuple(s.strip() for s in args.log_features.split(",") if s.strip())
         width, height = args.grid
         grid, _, _ = pipeline.stage_categorize(
@@ -162,19 +158,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "simulate":
-        if args.sim == "sir":
-            out = args.output or _default_output(args.edges, ".edges", ".sir.csv")
-            trace = pipeline.stage_simulate_sir(
-                args.edges, args.assignment, out, lam=args.lam, mu=args.mu,
-                dt=args.dt, n_initial=args.initial, seed=args.seed,
-                snapshot_every=args.snapshot_every)
-            print(f"wrote {out}: terminal t={trace.terminal_time:g}")
-        else:
-            out = args.output or _default_output(args.edges, ".edges", ".spd.csv")
-            trace = pipeline.stage_simulate_spd(
-                args.edges, args.assignment, out, T=args.T, eps=args.eps,
-                seed=args.seed, max_rounds=args.max_rounds, tie=args.tie)
-            print(f"wrote {out}: rounds={int(trace.terminal_time)}")
+        out = args.output or _default_output(args.edges, ".edges",
+                                             f".{args.sim}.csv")
+        params = {key: getattr(args, key) for key in DEFAULT_CONFIG[args.sim]}
+        stage = getattr(pipeline, f"stage_simulate_{args.sim}")
+        trace = stage(args.edges, args.assignment, out, seed=args.seed,
+                      **pipeline.stage_keywords(params))
+        print(f"wrote {out}: {trace.time_label}={trace.terminal_time:g}")
         return 0
 
     if args.command == "render":

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .graph import Graph, build_graph
 
 # Resampling budget when a preferential-attachment draw hits the arriving
 # node or an already-chosen target; after that the edge is skipped.
 _PA_RETRIES = 100
+_GEN = DEFAULT_CONFIG["generate"]
 
 
-def generate_hk(n: int, m: int = 4, p_t: float = 0.9,
+def generate_hk(n: int, m: int = _GEN["m"], p_t: float = _GEN["p_t"],
                 seed: int | None = None) -> Graph:
     """Grow a scale-free, high-clustering network.
 
@@ -82,7 +84,7 @@ def generate_hk(n: int, m: int = 4, p_t: float = 0.9,
     return build_graph(n, edges)
 
 
-def generate_cnn(n: int, u: float = 0.75, seed: int | None = None) -> Graph:
+def generate_cnn(n: int, u: float = _GEN["u"], seed: int | None = None) -> Graph:
     """Grow an assortative scale-free network via potential-link conversion.
 
     Starts from a single node. Each step either (with probability 1-u)

@@ -1,7 +1,9 @@
-"""Undirected simple graphs with sorted CSR adjacency and edge-list file I/O."""
+"""Undirected simple graphs with sorted CSR adjacency, edge-list file I/O,
+and the reader shared by the per-node CSV files."""
 
 from __future__ import annotations
 
+import csv
 import re
 from pathlib import Path
 from typing import Iterable
@@ -53,9 +55,9 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) int array with u < v, lexicographically sorted."""
-        row = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        keep = self.indices > row
-        return np.column_stack([row[keep], self.indices[keep].astype(np.int64)])
+        src, dst = self.directed_edges()
+        keep = dst > src
+        return np.column_stack([src[keep], dst[keep]])
 
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Both orientations of every edge as (sources, targets) arrays."""
@@ -69,10 +71,9 @@ class Graph:
         seen[0] = True
         frontier = np.array([0], dtype=np.int64)
         while frontier.size:
-            nxt = _gather_neighbors(self.indptr, self.indices, frontier)
+            nxt = gather_rows(self.indptr, self.indices,
+                              self.degrees[frontier], frontier)
             nxt = nxt[~seen[nxt]]
-            if nxt.size == 0:
-                break
             seen[nxt] = True
             frontier = np.unique(nxt)
         return bool(seen.all())
@@ -91,16 +92,16 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
-def _gather_neighbors(indptr: np.ndarray, indices: np.ndarray,
-                      nodes: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor ids of ``nodes`` without a Python-level loop."""
-    counts = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
+def gather_rows(indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray,
+                nodes: np.ndarray) -> np.ndarray:
+    """Concatenated CSR rows for ``nodes`` (duplicates preserved, in order)
+    without a Python-level loop; ``counts`` must equal their row lengths."""
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=indices.dtype)
     cum = np.cumsum(counts)
     flat = np.arange(total, dtype=np.int64)
-    flat += np.repeat(indptr[nodes].astype(np.int64) - (cum - counts), counts)
+    flat += np.repeat(indptr[nodes] - (cum - counts), counts)
     return indices[flat]
 
 
@@ -163,20 +164,46 @@ def load_edge_list(path: str | Path) -> Graph:
                 raise ValueError(f"{path}:{lineno}: non-integer token in {line!r}") from None
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: negative node id in {line!r}")
+            if header_n is not None and max(u, v) >= header_n:
+                raise ValueError(f"{path}:{lineno}: node id out of range "
+                                 f"[0, {header_n}) in {line!r}")
             pairs.append((u, v))
     if not pairs and header_n is None:
         raise ValueError(f"{path}: empty edge list with no '# nodes: N' header")
     n = header_n if header_n is not None else 1 + max(max(u, v) for u, v in pairs)
-    return build_graph(n, pairs)
+    try:
+        return build_graph(n, pairs)
+    except ValueError as exc:  # a self-loop, or a header placed after its edges
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_edge_list(graph: Graph, path: str | Path) -> None:
     """Write the canonical edge-list form: node-count header, one "u v" per line."""
-    Path(path).write_bytes(edge_list_bytes(graph))
-
-
-def edge_list_bytes(graph: Graph) -> bytes:
-    """Canonical serialized form (UTF-8, LF); also used for content hashing."""
     lines = [f"# nodes: {graph.n}\n"]
     lines.extend(f"{u} {v}\n" for u, v in graph.edge_array())
-    return "".join(lines).encode("utf-8")
+    Path(path).write_bytes("".join(lines).encode("utf-8"))
+
+
+def read_node_csv(path: str | Path, header: tuple[str, ...],
+                  types: tuple[type, ...]) -> list[tuple]:
+    """Rows of a CSV keyed by node id in its first column, parsed with
+    ``types`` and sorted by id; the ids must run 0..n-1. Malformed input
+    raises ValueError naming the file, and the line where one applies."""
+    rows = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, [])
+        if got != list(header):
+            raise ValueError(f"{path}: unexpected header {got}")
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(types):
+                    raise ValueError
+                rows.append(tuple(t(v) for t, v in zip(types, row)))
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{','.join(header)}, got {row}") from None
+    rows.sort(key=lambda r: r[0])
+    if [r[0] for r in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: node ids are not contiguous from 0")
+    return rows

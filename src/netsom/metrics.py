@@ -7,13 +7,12 @@ vectorized over BFS frontiers, so exact values stay tractable at 10^4 nodes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, gather_rows, read_node_csv
 
 FEATURE_NAMES = ("k", "k_nn", "b", "L", "C")
 
@@ -55,7 +54,7 @@ def compute_betweenness(graph: Graph) -> np.ndarray:
     """
     if graph.n < 3:
         raise ValueError("betweenness needs at least 3 nodes")
-    raw, _, _ = _brandes_all_sources(graph)
+    raw, _ = _brandes_all_sources(graph, require_connected=False)
     return raw / ((graph.n - 1) * (graph.n - 2))
 
 
@@ -66,11 +65,7 @@ def compute_avg_path_length(graph: Graph) -> np.ndarray:
     """
     if graph.n == 1:
         return np.zeros(1)
-    _, dist_sums, unreachable = _brandes_all_sources(graph)
-    if unreachable is not None:
-        raise ValueError(
-            f"graph is disconnected: no path between nodes "
-            f"{unreachable[0]} and {unreachable[1]}")
+    _, dist_sums = _brandes_all_sources(graph, require_connected=True)
     return dist_sums / (graph.n - 1)
 
 
@@ -94,11 +89,7 @@ def compute_all(graph: Graph) -> NodeFeatures:
     """All five features in one pass over sources plus the local measures."""
     if graph.n < 3:
         raise ValueError("feature vector needs at least 3 nodes")
-    raw, dist_sums, unreachable = _brandes_all_sources(graph)
-    if unreachable is not None:
-        raise ValueError(
-            f"graph is disconnected: no path between nodes "
-            f"{unreachable[0]} and {unreachable[1]}")
+    raw, dist_sums = _brandes_all_sources(graph, require_connected=True)
     return NodeFeatures(
         k=graph.degrees.copy(),
         k_nn=compute_avg_neighbor_degree(graph),
@@ -126,13 +117,13 @@ def degree_assortativity(graph: Graph) -> float:
 # Brandes accumulation, one vectorized BFS per source
 
 
-def _brandes_all_sources(graph: Graph):
-    """Returns (raw betweenness, per-node distance sums, unreachable pair).
+def _brandes_all_sources(graph: Graph, require_connected: bool):
+    """Returns (raw betweenness, per-node distance sums).
 
     raw[i] accumulates the Brandes dependency of every source on i, i.e. each
     unordered pair is counted twice. dist_sums[i] is sum_j d(i, j), valid only
-    when the graph is connected; `unreachable` is None then, otherwise a
-    witness pair (source, node) with no connecting path.
+    when the graph is connected; with ``require_connected`` a disconnected
+    graph raises, naming a pair (source, node) with no connecting path.
     """
     n = graph.n
     indptr = graph.indptr.astype(np.int64)
@@ -141,7 +132,6 @@ def _brandes_all_sources(graph: Graph):
 
     raw = np.zeros(n)
     dist_sums = np.zeros(n)
-    unreachable: tuple[int, int] | None = None
 
     dist = np.empty(n, dtype=np.int32)
     sigma = np.empty(n)
@@ -159,10 +149,8 @@ def _brandes_all_sources(graph: Graph):
 
         while True:
             counts = counts_all[frontier]
-            flat = _gather(indices, indptr, counts, frontier)
+            flat = gather_rows(indptr, indices, counts, frontier)
             levels.append((frontier, flat, counts))
-            if flat.size == 0:
-                break
             undiscovered = dist[flat] == -1
             targets = flat[undiscovered]
             if targets.size == 0:
@@ -174,19 +162,17 @@ def _brandes_all_sources(graph: Graph):
             frontier = np.flatnonzero(add > 0)
             dist[frontier] = len(levels)
 
-        if unreachable is None:
+        if require_connected:
             missing = np.flatnonzero(dist < 0)
             if missing.size:
-                unreachable = (s, int(missing[0]))
-            else:
-                dist_sums[s] = dist.sum(dtype=np.int64)
+                raise ValueError(f"graph is disconnected: no path between "
+                                 f"nodes {s} and {missing[0]}")
+            dist_sums[s] = dist.sum(dtype=np.int64)
 
         # backward: dependency accumulation from the deepest level inward
         delta.fill(0.0)
         for d in range(len(levels) - 1, 0, -1):
             nodes, flat, counts = levels[d]
-            if flat.size == 0:
-                continue
             coeff = (1.0 + delta[nodes]) / sigma[nodes]
             rep = np.repeat(coeff, counts)
             pred = dist[flat] == d - 1
@@ -196,20 +182,7 @@ def _brandes_all_sources(graph: Graph):
         delta[s] = 0.0
         raw += delta
 
-    return raw, dist_sums, unreachable
-
-
-def _gather(indices: np.ndarray, indptr: np.ndarray, counts: np.ndarray,
-            nodes: np.ndarray) -> np.ndarray:
-    """Concatenated CSR rows for ``nodes`` (duplicates preserved, in order);
-    ``counts`` must equal the row lengths of ``nodes``."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    cum = np.cumsum(counts)
-    flat = np.arange(total, dtype=np.int64)
-    flat += np.repeat(indptr[nodes] - (cum - counts), counts)
-    return indices[flat]
+    return raw, dist_sums
 
 
 def _count_common(a: np.ndarray, b: np.ndarray) -> int:
@@ -237,19 +210,12 @@ def write_features_csv(features: NodeFeatures, path: str | Path) -> None:
 
 
 def read_features_csv(path: str | Path) -> NodeFeatures:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["node", "k", "k_nn", "b", "L", "C"]:
-            raise ValueError(f"{path}: unexpected features header {header}")
-        rows = [row for row in reader if row]
-    rows.sort(key=lambda r: int(r[0]))
-    if [int(r[0]) for r in rows] != list(range(len(rows))):
-        raise ValueError(f"{path}: node ids are not contiguous from 0")
+    rows = read_node_csv(path, ("node",) + FEATURE_NAMES,
+                         (int, int, float, float, float, float))
     return NodeFeatures(
-        k=np.array([int(r[1]) for r in rows], dtype=np.int64),
-        k_nn=np.array([float(r[2]) for r in rows]),
-        b=np.array([float(r[3]) for r in rows]),
-        L=np.array([float(r[4]) for r in rows]),
-        C=np.array([float(r[5]) for r in rows]),
+        k=np.array([r[1] for r in rows], dtype=np.int64),
+        k_nn=np.array([r[2] for r in rows]),
+        b=np.array([r[3] for r in rows]),
+        L=np.array([r[4] for r in rows]),
+        C=np.array([r[5] for r in rows]),
     )

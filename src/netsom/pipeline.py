@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .config import ConfigError, DEFAULT_CONFIG, resolve_config  # noqa: F401 - re-exported
 from .generators import generate_cnn, generate_hk
 from .graph import Graph, load_edge_list, save_edge_list
 from .metrics import (FEATURE_NAMES, NodeFeatures, compute_all,
@@ -34,27 +35,16 @@ from .spd import run_spd
 # SeedSequence([master, code]); ensemble run i uses SeedSequence([master, 9, i])
 STAGE_CODES = {"generate": 1, "categorize": 2, "sir": 3, "spd": 4}
 
-DEFAULT_CONFIG: dict = {
-    "seed": 0,
-    "generate": {"model": "hk", "n": 10000, "m": 4, "p_t": 0.9, "u": 0.75},
-    "som": {"width": 5, "height": 5, "epochs": 20, "log_features": []},
-    "sir": {"lambda": 0.2, "mu": 1.0, "dt": 0.01, "initial": 10,
-            "snapshot_every": 0.5},
-    "spd": {"T": 1.5, "eps": 0.0, "max_rounds": 100, "tie": "min_id"},
-    "render": {"times": None, "radius_mode": "fixed"},
-}
+_GEN = DEFAULT_CONFIG["generate"]
+_SOM = DEFAULT_CONFIG["som"]
+_SIR = DEFAULT_CONFIG["sir"]
+_SPD = DEFAULT_CONFIG["spd"]
+_RADIUS_MODE = DEFAULT_CONFIG["render"]["radius_mode"]
+_SEED = DEFAULT_CONFIG["seed"]
 
 
 class PipelineError(RuntimeError):
-    """A stage failed; carries the stage name for exit reporting."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(message)
-        self.stage = stage
-
-
-class ConfigError(ValueError):
-    pass
+    """A stage of a full run failed; the message names the stage."""
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -68,7 +58,7 @@ def sha256_file(path: str | Path) -> str:
 
 
 def _write_meta(artifact: Path, stage: str, params: dict,
-                seed: int | None, inputs: dict[str, Path],
+                seed: int | None, inputs: list[Path],
                 result: dict | None = None) -> None:
     doc = {
         "tool": "netsom",
@@ -77,7 +67,7 @@ def _write_meta(artifact: Path, stage: str, params: dict,
         "artifact": artifact.name,
         "params": params,
         "seed": seed,
-        "inputs": {name: sha256_file(p) for name, p in sorted(inputs.items())},
+        "inputs": {p.name: sha256_file(p) for p in inputs},
         "output_sha256": sha256_file(artifact),
     }
     if result is not None:
@@ -86,26 +76,29 @@ def _write_meta(artifact: Path, stage: str, params: dict,
     meta_path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def check_fresh(path: str | Path) -> None:
-    """Reject an input whose bytes no longer match its recorded hash."""
+def check_fresh(path: str | Path) -> Path:
+    """Reject an input whose bytes no longer match its recorded hash;
+    returns the input's path."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing input: {path}")
     meta_path = path.with_name(path.name + ".meta.json")
     if not meta_path.exists():
-        return  # hand-made input; nothing recorded to check against
+        return path  # hand-made input; nothing recorded to check against
     recorded = json.loads(meta_path.read_text(encoding="utf-8")).get("output_sha256")
     if recorded is not None and recorded != sha256_file(path):
         raise ValueError(f"stale input: {path} does not match its recorded hash")
+    return path
 
 
 # ---------------------------------------------------------------------------
 # stages
 
 
-def stage_generate(out_path: str | Path, model: str = "hk", n: int = 10000,
-                   m: int = 4, p_t: float = 0.9, u: float = 0.75,
-                   seed: int = 0) -> Graph:
+def stage_generate(out_path: str | Path, model: str = _GEN["model"],
+                   n: int = _GEN["n"], m: int = _GEN["m"],
+                   p_t: float = _GEN["p_t"], u: float = _GEN["u"],
+                   seed: int = _SEED) -> Graph:
     out_path = Path(out_path)
     if model == "hk":
         graph = generate_hk(n, m=m, p_t=p_t, seed=seed)
@@ -116,38 +109,35 @@ def stage_generate(out_path: str | Path, model: str = "hk", n: int = 10000,
     else:
         raise ValueError(f"unknown model {model!r} (expected 'hk' or 'cnn')")
     save_edge_list(graph, out_path)
-    _write_meta(out_path, "generate", params, seed, {},
+    _write_meta(out_path, "generate", params, seed, [],
                 result={"edges": graph.num_edges,
                         "mean_degree": graph.mean_degree})
     return graph
 
 
 def stage_metrics(edges_path: str | Path, out_path: str | Path) -> NodeFeatures:
-    edges_path, out_path = Path(edges_path), Path(out_path)
-    check_fresh(edges_path)
-    graph = load_edge_list(edges_path)
-    features = compute_all(graph)
+    edges_path, out_path = check_fresh(edges_path), Path(out_path)
+    features = compute_all(load_edge_list(edges_path))
     write_features_csv(features, out_path)
-    _write_meta(out_path, "metrics", {}, None, {edges_path.name: edges_path})
+    _write_meta(out_path, "metrics", {}, None, [edges_path])
     return features
 
 
 def stage_categorize(features_path: str | Path, out_prefix: str | Path,
-                     width: int = 5, height: int = 5, epochs: int = 20,
-                     seed: int = 0, log_features: tuple[str, ...] = ()):
+                     width: int = _SOM["width"], height: int = _SOM["height"],
+                     epochs: int = _SOM["epochs"], seed: int = _SEED,
+                     log_features: tuple[str, ...] = ()):
     """Normalize, train the lattice, assign nodes, and write the three
     artifacts: <prefix>.assign.csv, <prefix>.cells.csv, <prefix>.som.json."""
-    features_path = Path(features_path)
-    check_fresh(features_path)
+    features_path = check_fresh(features_path)
     features = read_features_csv(features_path)
     mat = features.as_matrix()
-    if log_features:
-        cols = []
-        for name in log_features:
-            if name not in FEATURE_NAMES:
-                raise ValueError(f"unknown feature {name!r} in log_features")
-            cols.append(FEATURE_NAMES.index(name))
-        mat = apply_log_columns(mat, tuple(cols))
+    cols = []
+    for name in log_features:
+        if name not in FEATURE_NAMES:
+            raise ValueError(f"unknown feature {name!r} in log_features")
+        cols.append(FEATURE_NAMES.index(name))
+    mat = apply_log_columns(mat, tuple(cols))
     normalized, norm_params = normalize_features(mat)
     grid = train_som(normalized, width=width, height=height, epochs=epochs,
                      seed=seed, norm_params=norm_params)
@@ -163,92 +153,102 @@ def stage_categorize(features_path: str | Path, out_prefix: str | Path,
     save_som_json(grid, som_path)
     params = {"width": width, "height": height, "epochs": epochs,
               "log_features": list(log_features)}
-    inputs = {features_path.name: features_path}
     result = {"qe_initial": grid.qe_initial, "qe_final": grid.qe_final}
     for p in (assign_path, cells_path, som_path):
-        _write_meta(p, "categorize", params, seed, inputs, result=result)
+        _write_meta(p, "categorize", params, seed, [features_path],
+                    result=result)
     return grid, assignment, stats
 
 
 def stage_simulate_sir(edges_path: str | Path, assign_path: str | Path,
-                       out_path: str | Path, lam: float = 0.2, mu: float = 1.0,
-                       dt: float = 0.01, n_initial: int = 10, seed: int = 0,
-                       snapshot_every: float = 0.5) -> SimTrace:
-    edges_path, assign_path = Path(edges_path), Path(assign_path)
-    out_path = Path(out_path)
-    check_fresh(edges_path)
-    check_fresh(assign_path)
-    graph = load_edge_list(edges_path)
-    assignment = read_assignment_csv(assign_path)
-    trace = run_sir(graph, assignment, lam=lam, mu=mu, dt=dt,
-                    n_initial=n_initial, seed=seed,
-                    snapshot_every=snapshot_every)
-    write_trace_csv(trace, out_path)
-    params = {"lambda": lam, "mu": mu, "dt": dt, "initial": n_initial,
-              "snapshot_every": snapshot_every}
-    _write_meta(out_path, "simulate-sir", params, seed,
-                {edges_path.name: edges_path, assign_path.name: assign_path},
-                result={"terminal_t": trace.terminal_time})
-    return trace
+                       out_path: str | Path, lam: float = _SIR["lambda"],
+                       mu: float = _SIR["mu"], dt: float = _SIR["dt"],
+                       n_initial: int = _SIR["initial"], seed: int = _SEED,
+                       snapshot_every: float = _SIR["snapshot_every"]) -> SimTrace:
+    return _simulate("sir", edges_path, assign_path, out_path, seed,
+                     {"lambda": lam, "mu": mu, "dt": dt, "initial": n_initial,
+                      "snapshot_every": snapshot_every})
 
 
 def stage_simulate_spd(edges_path: str | Path, assign_path: str | Path,
-                       out_path: str | Path, T: float = 1.5, eps: float = 0.0,
-                       seed: int = 0, max_rounds: int = 100,
-                       tie: str = "min_id") -> SimTrace:
-    edges_path, assign_path = Path(edges_path), Path(assign_path)
-    out_path = Path(out_path)
-    check_fresh(edges_path)
-    check_fresh(assign_path)
-    graph = load_edge_list(edges_path)
-    assignment = read_assignment_csv(assign_path)
-    trace = run_spd(graph, assignment, T=T, eps=eps, seed=seed,
-                    max_rounds=max_rounds, tie=tie)
+                       out_path: str | Path, T: float = _SPD["T"],
+                       eps: float = _SPD["eps"], seed: int = _SEED,
+                       max_rounds: int = _SPD["max_rounds"],
+                       tie: str = _SPD["tie"]) -> SimTrace:
+    return _simulate("spd", edges_path, assign_path, out_path, seed,
+                     {"T": T, "eps": eps, "max_rounds": max_rounds, "tie": tie})
+
+
+# Per simulation: the meta "result" of a trace, which opens its summary
+# entry, the summary keys of the final counts and of one state's share, and
+# that state. stage_simulate_<name> and run_<name> are looked up when called,
+# so a module attribute replaced from outside (a tracer) is the one called.
+SIMULATIONS = {
+    "sir": (lambda trace: {"terminal_t": trace.terminal_time},
+            "terminal_counts", "terminal_R_fraction", "R"),
+    "spd": (lambda trace: {"rounds": int(trace.terminal_time),
+                           "fixed_point": trace.fixed_point},
+            "final_counts", "final_cooperator_fraction", "C"),
+}
+
+
+def stage_keywords(params: dict) -> dict:
+    """A simulation's config section as keyword arguments of its stage and
+    model functions, which spell two keys differently."""
+    spelled = {"lambda": "lam", "initial": "n_initial"}
+    return {spelled.get(key, key): value for key, value in params.items()}
+
+
+def _simulate(name: str, edges_path: str | Path, assign_path: str | Path,
+              out_path: str | Path, seed: int, params: dict) -> SimTrace:
+    """Shared body of the simulate stages; ``params`` uses config keys."""
+    edges_path, assign_path = check_fresh(edges_path), check_fresh(assign_path)
+    trace = globals()[f"run_{name}"](load_edge_list(edges_path),
+                                     read_assignment_csv(assign_path),
+                                     seed=seed, **stage_keywords(params))
     write_trace_csv(trace, out_path)
-    rounds = int(trace.terminal_time)
-    params = {"T": T, "eps": eps, "max_rounds": max_rounds, "tie": tie}
-    _write_meta(out_path, "simulate-spd", params, seed,
-                {edges_path.name: edges_path, assign_path.name: assign_path},
-                result={"rounds": rounds, "fixed_point": rounds < max_rounds})
+    _write_meta(Path(out_path), f"simulate-{name}", params, seed,
+                [edges_path, assign_path], result=SIMULATIONS[name][0](trace))
     return trace
 
 
 def stage_render_heatmap(cells_path: str | Path, out_path: str | Path) -> None:
-    cells_path, out_path = Path(cells_path), Path(out_path)
-    check_fresh(cells_path)
-    stats = read_cell_stats_csv(cells_path)
-    out_path.write_text(render_heatmaps(stats), encoding="utf-8")
-    _write_meta(out_path, "render-heatmap", {}, None, {cells_path.name: cells_path})
+    cells_path = check_fresh(cells_path)
+    _write_svg(out_path, render_heatmaps(read_cell_stats_csv(cells_path)),
+               "render-heatmap", {}, cells_path)
 
 
 def stage_render_pies(trace_path: str | Path, out_path: str | Path, t: float,
-                      radius_mode: str = "fixed") -> None:
-    trace_path, out_path = Path(trace_path), Path(out_path)
-    check_fresh(trace_path)
+                      radius_mode: str = _RADIUS_MODE) -> None:
+    trace_path = check_fresh(trace_path)
     trace = read_trace_csv(trace_path)
     idx = trace.nearest_index(t)
     svg = render_pie_lattice(trace.counts[idx], trace.width, trace.height,
                              trace.state_names, t=trace.times[idx],
                              radius_mode=radius_mode,
                              time_label=trace.time_label)
-    out_path.write_text(svg, encoding="utf-8")
-    _write_meta(out_path, "render-pies", {"t": t, "radius_mode": radius_mode},
-                None, {trace_path.name: trace_path})
+    _write_svg(out_path, svg, "render-pies",
+               {"t": t, "radius_mode": radius_mode}, trace_path)
 
 
 def stage_render_timeline(trace_path: str | Path, out_path: str | Path,
                           times: list[float] | None,
-                          radius_mode: str = "fixed") -> None:
-    trace_path, out_path = Path(trace_path), Path(out_path)
-    check_fresh(trace_path)
+                          radius_mode: str = _RADIUS_MODE) -> None:
+    trace_path = check_fresh(trace_path)
     trace = read_trace_csv(trace_path)
     if times is None:
         times = default_timeline_times(trace)
     svg = render_timeline(trace, times, radius_mode=radius_mode)
+    _write_svg(out_path, svg, "render-timeline",
+               {"times": times, "radius_mode": radius_mode}, trace_path)
+
+
+def _write_svg(out_path: str | Path, svg: str, stage: str, params: dict,
+               in_path: Path) -> None:
+    """Shared tail of the render stages: the figure, then its meta file."""
+    out_path = Path(out_path)
     out_path.write_text(svg, encoding="utf-8")
-    _write_meta(out_path, "render-timeline",
-                {"times": times, "radius_mode": radius_mode}, None,
-                {trace_path.name: trace_path})
+    _write_meta(out_path, stage, params, None, [in_path])
 
 
 def default_timeline_times(trace: SimTrace, panels: int = 6) -> list[float]:
@@ -261,34 +261,6 @@ def default_timeline_times(trace: SimTrace, panels: int = 6) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # full pipeline
-
-
-def resolve_config(config: dict) -> dict:
-    """Overlay user config onto the defaults; unknown keys are errors."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    known_top = set(DEFAULT_CONFIG) | {"outdir"}
-    unknown = set(config) - known_top
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {"seed": config.get("seed", DEFAULT_CONFIG["seed"])}
-    if not isinstance(resolved["seed"], int):
-        raise ConfigError("seed must be an integer")
-    for section in ("generate", "som", "sir", "spd", "render"):
-        user = config.get(section, {})
-        if user is False:
-            resolved[section] = False
-            continue
-        if not isinstance(user, dict):
-            raise ConfigError(f"section {section!r} must be an object or false")
-        defaults = DEFAULT_CONFIG[section]
-        bad = set(user) - set(defaults)
-        if bad:
-            raise ConfigError(f"unknown keys in {section!r}: {sorted(bad)}")
-        resolved[section] = {**defaults, **user}
-    # running neither simulation is allowed only by explicit "sir": false,
-    # "spd": false; absent sections mean "run with defaults"
-    return resolved
 
 
 def full_run(config: dict, outdir: str | Path, echo=print) -> dict:
@@ -316,13 +288,12 @@ def full_run(config: dict, outdir: str | Path, echo=print) -> dict:
         try:
             return fn(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001 - rewrap with the stage label
-            raise PipelineError(name, f"stage {name} failed: {exc}") from exc
+            raise PipelineError(f"stage {name} failed: {exc}") from exc
 
-    g = cfg["generate"]
     edges = record(outdir / f"{model}.edges")
-    graph = _stage("generate", stage_generate, edges, model=model, n=g["n"],
-                   m=g["m"], p_t=g["p_t"], u=g["u"],
-                   seed=derive_seed(master, STAGE_CODES["generate"]))
+    graph = _stage("generate", stage_generate, edges,
+                   seed=derive_seed(master, STAGE_CODES["generate"]),
+                   **cfg["generate"])
     echo(f"generate: {edges.name} n={graph.n} edges={graph.num_edges} "
          f"<k>={graph.mean_degree:.3f}")
     summary["graph"] = {"model": model, "n": graph.n,
@@ -337,11 +308,9 @@ def full_run(config: dict, outdir: str | Path, echo=print) -> dict:
     prefix = outdir / model
     grid, assignment, stats = _stage(
         "categorize", stage_categorize, features_path, prefix,
-        width=s["width"], height=s["height"], epochs=s["epochs"],
-        seed=derive_seed(master, STAGE_CODES["categorize"]),
-        log_features=tuple(s["log_features"]))
-    for suffix in (".assign.csv", ".cells.csv", ".som.json"):
-        record(outdir / (model + suffix))
+        seed=derive_seed(master, STAGE_CODES["categorize"]), **s)
+    assign_path, cells_path, _ = (record(outdir / (model + suffix)) for suffix
+                                  in (".assign.csv", ".cells.csv", ".som.json"))
     echo(f"categorize: grid {s['width']}x{s['height']}, "
          f"qe {grid.qe_initial:.4f} -> {grid.qe_final:.4f}")
     summary["cells"] = {
@@ -352,58 +321,27 @@ def full_run(config: dict, outdir: str | Path, echo=print) -> dict:
                   for j, name in enumerate(stats.feature_names)},
     }
 
-    assign_path = outdir / f"{model}.assign.csv"
-    cells_path = outdir / f"{model}.cells.csv"
     render_cfg = cfg["render"] if cfg["render"] is not False else None
 
-    if cfg["sir"] is not False:
-        p = cfg["sir"]
-        trace_path = record(outdir / "sir_trace.csv")
-        trace = _stage("simulate-sir", stage_simulate_sir, edges, assign_path,
-                       trace_path, lam=p["lambda"], mu=p["mu"], dt=p["dt"],
-                       n_initial=p["initial"],
-                       seed=derive_seed(master, STAGE_CODES["sir"]),
-                       snapshot_every=p["snapshot_every"])
-        totals = trace.counts[-1].sum(axis=1)
-        summary["sir"] = {
-            "terminal_t": trace.terminal_time,
-            "terminal_counts": {"S": int(totals[0]), "I": int(totals[1]),
-                                "R": int(totals[2])},
-            "terminal_R_fraction": float(totals[2]) / graph.n,
-        }
-        echo(f"simulate sir: terminal t={trace.terminal_time:g} "
-             f"R={int(totals[2])}/{graph.n}")
+    for sim_name, (outcome, counts_key, share_key, state) in SIMULATIONS.items():
+        if cfg[sim_name] is False:
+            continue
+        trace_path = record(outdir / f"{sim_name}_trace.csv")
+        trace = _stage(f"simulate-{sim_name}", globals()[f"stage_simulate_{sim_name}"],
+                       edges, assign_path, trace_path,
+                       seed=derive_seed(master, STAGE_CODES[sim_name]),
+                       **stage_keywords(cfg[sim_name]))
+        counts = dict(zip(trace.state_names, trace.totals(-1).tolist()))
+        summary[sim_name] = {**outcome(trace), counts_key: counts,
+                             share_key: counts[state] / graph.n}
+        echo(f"simulate {sim_name}: {trace.time_label}="
+             f"{trace.terminal_time:g} {state}={counts[state]}/{graph.n}")
         if render_cfg is not None:
-            tl = record(outdir / "timeline_sir.svg")
+            tl = record(outdir / f"timeline_{sim_name}.svg")
             _stage("render", stage_render_timeline, trace_path, tl,
                    render_cfg["times"], render_cfg["radius_mode"])
             term = trace.terminal_time
-            pies = record(outdir / f"pies_sir_{term:g}.svg")
-            _stage("render", stage_render_pies, trace_path, pies, term,
-                   render_cfg["radius_mode"])
-
-    if cfg["spd"] is not False:
-        p = cfg["spd"]
-        trace_path = record(outdir / "spd_trace.csv")
-        trace = _stage("simulate-spd", stage_simulate_spd, edges, assign_path,
-                       trace_path, T=p["T"], eps=p["eps"],
-                       seed=derive_seed(master, STAGE_CODES["spd"]),
-                       max_rounds=p["max_rounds"], tie=p["tie"])
-        totals = trace.counts[-1].sum(axis=1)
-        summary["spd"] = {
-            "rounds": int(trace.terminal_time),
-            "fixed_point": int(trace.terminal_time) < p["max_rounds"],
-            "final_counts": {"C": int(totals[0]), "D": int(totals[1])},
-            "final_cooperator_fraction": float(totals[0]) / graph.n,
-        }
-        echo(f"simulate spd: rounds={int(trace.terminal_time)} "
-             f"C={int(totals[0])}/{graph.n}")
-        if render_cfg is not None:
-            tl = record(outdir / "timeline_spd.svg")
-            _stage("render", stage_render_timeline, trace_path, tl,
-                   render_cfg["times"], render_cfg["radius_mode"])
-            term = trace.terminal_time
-            pies = record(outdir / f"pies_spd_{term:g}.svg")
+            pies = record(outdir / f"pies_{sim_name}_{term:g}.svg")
             _stage("render", stage_render_pies, trace_path, pies, term,
                    render_cfg["radius_mode"])
 

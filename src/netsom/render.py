@@ -13,12 +13,14 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .simtrace import SimTrace
 from .som import CellStats
 
 CELL = 40          # heat-map cell edge, px
 PIE_CELL = 44      # pie-lattice cell pitch, px
 PIE_RADIUS = 17.0
+_RADIUS_MODE = DEFAULT_CONFIG["render"]["radius_mode"]
 
 # documented fixed palettes; the epidemic and game states never mix in one chart
 SIR_PALETTE = {"S": "#4a79c4", "I": "#d64541", "R": "#9a9a9a"}
@@ -177,15 +179,16 @@ def _pie_sectors(cx: float, cy: float, r: float, fracs: list[float],
     return "".join(out)
 
 
-def _pie_lattice_group(counts: np.ndarray, width: int, height: int,
-                       colors: tuple[str, ...], radius_mode: str) -> str:
-    """Lattice of pies in panel-local coordinates (origin at top-left of the
-    cell grid). Empty cells draw nothing."""
+def _pie_panel(counts: np.ndarray, width: int, height: int,
+               colors: tuple[str, ...], radius_mode: str, ox: float,
+               oy: float) -> str:
+    """Lattice of pies with its axis labels, in a group whose origin (ox, oy)
+    is the top-left of the cell grid. Empty cells draw nothing."""
     if radius_mode not in ("fixed", "population"):
         raise ValueError(f"unknown radius_mode {radius_mode!r}")
     totals = counts.sum(axis=0)
     max_total = int(totals.max()) if totals.size else 0
-    out = []
+    out = [f'<g transform="translate({ox},{oy})">\n']
     for lin in range(width * height):
         total = int(totals[lin])
         if total == 0:
@@ -198,16 +201,12 @@ def _pie_lattice_group(counts: np.ndarray, width: int, height: int,
             r = PIE_RADIUS * math.sqrt(total / max_total)
         fracs = [counts[s, lin] / total for s in range(counts.shape[0])]
         out.append(_pie_sectors(cx, cy, r, fracs, colors))
-    return "".join(out)
-
-
-def _lattice_axes(width: int, height: int) -> str:
-    out = []
     for x in range(width):
         out.append(_text((x + 0.5) * PIE_CELL, height * PIE_CELL + 12, str(x), size=10))
     for y in range(height):
         out.append(_text(-5, (height - 1 - y + 0.5) * PIE_CELL + 4, str(y),
                          size=10, anchor="end"))
+    out.append('</g>\n')
     return "".join(out)
 
 
@@ -225,28 +224,22 @@ def _legend(state_names: tuple[str, ...], colors: tuple[str, ...],
 
 def render_pie_lattice(counts: np.ndarray, width: int, height: int,
                        state_names: tuple[str, ...], t: float | None = None,
-                       palette: tuple[str, ...] | None = None,
-                       radius_mode: str = "fixed",
+                       radius_mode: str = _RADIUS_MODE,
                        time_label: str = "t") -> str:
     """Pie-chart lattice for one snapshot: sector angles are proportional to
     each state's share of the cell's agents; empty cells stay blank."""
-    colors = palette if palette is not None else default_palette(state_names)
+    colors = default_palette(state_names)
     ml, mt = 24, 30
     gw, gh = width * PIE_CELL, height * PIE_CELL
     body = [_legend(state_names, colors, ml, 8)]
     if t is not None:
         body.append(_text(ml + gw, 18, f"{time_label} = {t:g}", size=12, anchor="end"))
-    body.append(f'<g transform="translate({ml},{mt})">\n')
-    body.append(_pie_lattice_group(counts, width, height, colors, radius_mode))
-    body.append(_lattice_axes(width, height))
-    body.append('</g>\n')
+    body.append(_pie_panel(counts, width, height, colors, radius_mode, ml, mt))
     return _svg_doc(ml + gw + 12, mt + gh + 22, "".join(body))
 
 
 def render_timeline(trace: SimTrace, times: list[float],
-                    palette: tuple[str, ...] | None = None,
-                    radius_mode: str = "fixed",
-                    per_row: int = 5) -> str:
+                    radius_mode: str = _RADIUS_MODE) -> str:
     """Sequence of pie lattices at the selected times, sharing one legend.
 
     Each requested time maps to the nearest recorded snapshot; the caption
@@ -254,7 +247,8 @@ def render_timeline(trace: SimTrace, times: list[float],
     """
     if not times:
         raise ValueError("no times selected")
-    colors = palette if palette is not None else default_palette(trace.state_names)
+    colors = default_palette(trace.state_names)
+    per_row = 5
     indices = [trace.nearest_index(t) for t in times]
 
     ml, mt = 24, 30
@@ -272,9 +266,6 @@ def render_timeline(trace: SimTrace, times: list[float],
         t_actual = trace.times[snap_idx]
         body.append(_text(ox + gw / 2, oy - 8,
                           f"{trace.time_label} = {t_actual:g}", size=11))
-        body.append(f'<g transform="translate({ox},{oy})">\n')
-        body.append(_pie_lattice_group(trace.counts[snap_idx], trace.width,
-                                       trace.height, colors, radius_mode))
-        body.append(_lattice_axes(trace.width, trace.height))
-        body.append('</g>\n')
+        body.append(_pie_panel(trace.counts[snap_idx], trace.width,
+                               trace.height, colors, radius_mode, ox, oy))
     return _svg_doc(doc_w, doc_h, "".join(body))

@@ -15,7 +15,8 @@ class SimTrace:
 
     ``counts[i]`` has shape (n_states, width*height); cell linear index is
     Y*width + X. ``time_label`` names the time column on disk ("t" for the
-    epidemic runs, "round" for the game runs).
+    epidemic runs, "round" for the game runs). ``fixed_point`` is set by the
+    game runs and is not stored on disk (None when unknown).
     """
 
     state_names: tuple[str, ...]
@@ -24,6 +25,7 @@ class SimTrace:
     time_label: str = "t"
     times: list[float] = field(default_factory=list)
     counts: list[np.ndarray] = field(default_factory=list)
+    fixed_point: bool | None = None
 
     @property
     def terminal_time(self) -> float:
@@ -40,6 +42,13 @@ class SimTrace:
             raise ValueError("snapshot times must be strictly increasing")
         self.times.append(float(t))
         self.counts.append(cell_counts)
+
+    def record(self, t: float, states, cells: np.ndarray) -> None:
+        """Append the per-cell counts of agent state codes ``states``, where
+        ``cells`` holds each agent's linear cell index."""
+        k, n_states = self.n_cells, len(self.state_names)
+        codes = np.asarray(states, dtype=np.int64) * k + cells
+        self.append(t, np.bincount(codes, minlength=n_states * k).reshape(n_states, k))
 
     def totals(self, i: int) -> np.ndarray:
         """Whole-network state counts at snapshot i."""
@@ -73,7 +82,7 @@ def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
 def read_trace_csv(path: str | Path) -> SimTrace:
     with Path(path).open("r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if len(header) < 4 or header[1:3] != ["X", "Y"]:
             raise ValueError(f"{path}: unexpected trace header {header}")
         time_label = header[0]

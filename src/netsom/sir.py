@@ -10,55 +10,28 @@ agents remain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .graph import Graph
 from .simtrace import SimTrace
 from .som import CellAssignment
 
 S, I, R = 0, 1, 2
 STATE_NAMES = ("S", "I", "R")
-
-DEFAULT_LAMBDA = 0.2
-DEFAULT_MU = 1.0
-DEFAULT_DT = 0.01
-DEFAULT_INITIAL = 10
-DEFAULT_SNAPSHOT_EVERY = 0.5
+_SIR = DEFAULT_CONFIG["sir"]
 
 
-@dataclass
-class SirState:
-    """Per-agent states (int8 codes S/I/R) at simulation time t."""
-
-    states: np.ndarray
-    t: float = 0.0
-
-    def counts(self) -> np.ndarray:
-        return np.bincount(self.states, minlength=3)
-
-
-def infection_probability(lam: float, n_infected: int, dt: float) -> float:
-    """Per-pick infection probability, clamped to 1 for hub-sized exposure."""
-    return min(1.0, lam * n_infected * dt)
-
-
-def init_sir(graph: Graph, n_initial: int, seed=None) -> SirState:
-    """All susceptible except ``n_initial`` distinct agents drawn uniformly."""
+def init_sir(graph: Graph, n_initial: int, seed=None) -> np.ndarray:
+    """Per-agent int8 states: all susceptible except ``n_initial`` distinct
+    agents drawn uniformly, who start infectious."""
     if not 1 <= n_initial <= graph.n:
         raise ValueError(f"n_initial must be in [1, {graph.n}]")
     rng = np.random.default_rng(seed)
     states = np.zeros(graph.n, dtype=np.int8)
     infected = rng.choice(graph.n, size=n_initial, replace=False)
     states[infected] = I
-    return SirState(states=states, t=0.0)
-
-
-def _infected_neighbor_counts(graph: Graph, states: np.ndarray) -> list[int]:
-    src, dst = graph.directed_edges()
-    mask = states[dst] == I
-    return np.bincount(src[mask], minlength=graph.n).tolist()
+    return states
 
 
 def _sweep(states: list[int], nbrs: list[list[int]], inf_cnt: list[int],
@@ -91,35 +64,15 @@ def _sweep(states: list[int], nbrs: list[list[int]], inf_cnt: list[int],
     return infections, recoveries
 
 
-def step_sir(state: SirState, graph: Graph, lam: float, mu: float, dt: float,
-             rng: np.random.Generator) -> SirState:
-    """One sweep of N sequential picks; returns the advanced state.
-
-    Updates are asynchronous: an infection earlier in the sweep is visible
-    to later picks. Every pick consumes one uniform draw, so the trajectory
-    is a deterministic function of (state, graph, parameters, rng stream).
-    """
-    if lam < 0 or mu < 0 or dt <= 0:
-        raise ValueError("need lambda >= 0, mu >= 0, dt > 0")
-    n = graph.n
-    states = state.states.tolist()
-    inf_cnt = _infected_neighbor_counts(graph, state.states)
-    picks = rng.integers(0, n, size=n).tolist()
-    draws = rng.random(size=n).tolist()
-    _sweep(states, graph.neighbor_lists(), inf_cnt, picks, draws,
-           lam * dt, mu * dt)
-    return SirState(states=np.array(states, dtype=np.int8), t=state.t + dt)
-
-
 def run_sir(graph: Graph, assignment: CellAssignment,
-            lam: float = DEFAULT_LAMBDA, mu: float = DEFAULT_MU,
-            dt: float = DEFAULT_DT, n_initial: int = DEFAULT_INITIAL,
-            seed=None, snapshot_times: list[float] | None = None,
-            snapshot_every: float = DEFAULT_SNAPSHOT_EVERY) -> SimTrace:
+            lam: float = _SIR["lambda"], mu: float = _SIR["mu"],
+            dt: float = _SIR["dt"], n_initial: int = _SIR["initial"],
+            seed=None,
+            snapshot_every: float = _SIR["snapshot_every"]) -> SimTrace:
     """Run sweeps until no infectious agents remain; record per-cell counts.
 
-    Snapshots fall at t=0, at every crossing of ``snapshot_every`` (or of the
-    explicit sorted ``snapshot_times``), and always at the terminal time.
+    Snapshots fall at t=0, at every crossing of ``snapshot_every``, and
+    always at the terminal time; ``snapshot_every=dt`` records every sweep.
     The master seed splits into independent initial-infection and dynamics
     streams, so the whole trace is reproducible from (graph, seed, params).
     """
@@ -131,34 +84,25 @@ def run_sir(graph: Graph, assignment: CellAssignment,
         raise ValueError("termination requires mu > 0 and dt > 0")
     if snapshot_every <= 0:
         raise ValueError("snapshot_every must be positive")
-    if snapshot_times is not None and sorted(snapshot_times) != list(snapshot_times):
-        raise ValueError("snapshot_times must be sorted")
 
     init_seed, step_seed = np.random.SeedSequence(seed).spawn(2)
-    state0 = init_sir(graph, n_initial, seed=init_seed)
+    states0 = init_sir(graph, n_initial, seed=init_seed)
     rng = np.random.default_rng(step_seed)
 
     n = graph.n
     nbrs = graph.neighbor_lists()
-    states = state0.states.tolist()
-    inf_cnt = _infected_neighbor_counts(graph, state0.states)
+    states = states0.tolist()
+    src, dst = graph.directed_edges()
+    inf_cnt = np.bincount(src[states0[dst] == I], minlength=n).tolist()
     n_infected = n_initial
     lam_dt = lam * dt
     mu_dt = mu * dt
 
-    lin = assignment.linear()
-    k = assignment.width * assignment.height
+    cells = assignment.linear()
     trace = SimTrace(state_names=STATE_NAMES, width=assignment.width,
                      height=assignment.height, time_label="t")
-
-    def cell_counts() -> np.ndarray:
-        arr = np.asarray(states, dtype=np.int64)
-        return np.bincount(arr * k + lin, minlength=3 * k).reshape(3, k)
-
-    trace.append(0.0, cell_counts())
-    next_fixed = snapshot_every
-    times_iter = iter(snapshot_times) if snapshot_times is not None else None
-    pending = _advance_pending(times_iter, 0.0) if times_iter is not None else None
+    trace.record(0.0, states, cells)
+    next_snapshot = snapshot_every
 
     # draws are consumed in fixed multi-sweep blocks; the block size is a
     # function of n alone, so it is part of the deterministic stream layout
@@ -182,24 +126,9 @@ def run_sir(graph: Graph, assignment: CellAssignment,
         n_infected += infections - recoveries
         sweep += 1
         t = sweep * dt  # exact product avoids float accumulation drift
-        due = False
-        if times_iter is None:
-            if t >= next_fixed - 1e-9:
-                due = True
-                while t >= next_fixed - 1e-9:
-                    next_fixed += snapshot_every
-        elif pending is not None and t >= pending - 1e-9:
-            due = True
-            pending = _advance_pending(times_iter, t)
-        if n_infected == 0:
-            trace.append(t, cell_counts())  # terminal snapshot, always
-        elif due:
-            trace.append(t, cell_counts())
+        due = t >= next_snapshot - 1e-9
+        while t >= next_snapshot - 1e-9:
+            next_snapshot += snapshot_every
+        if due or n_infected == 0:  # the terminal snapshot is always taken
+            trace.record(t, states, cells)
     return trace
-
-
-def _advance_pending(times_iter, now: float) -> float | None:
-    for t in times_iter:
-        if t > now + 1e-9:
-            return t
-    return None

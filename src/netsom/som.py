@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_WIDTH = 5
-DEFAULT_HEIGHT = 5
-DEFAULT_EPOCHS = 20
-DEFAULT_ALPHA = (0.5, 0.01)   # start/end learning rate
-DEFAULT_SIGMA_END = 0.5       # start radius defaults to max(width, height)/2
+from .config import DEFAULT_CONFIG
+from .graph import read_node_csv
+
+ALPHA = (0.5, 0.01)   # start/end learning rate
+SIGMA_END = 0.5       # end radius; the start radius is max(width, height)/2
+_SOM = DEFAULT_CONFIG["som"]
 
 
 @dataclass
@@ -38,15 +39,8 @@ class SomGrid:
     qe_final: float | None = field(default=None, compare=False)
 
     @property
-    def n_cells(self) -> int:
-        return self.width * self.height
-
-    @property
     def dim(self) -> int:
         return self.weights.shape[1]
-
-    def cell_xy(self, linear: int) -> tuple[int, int]:
-        return linear % self.width, linear // self.width
 
 
 @dataclass
@@ -107,19 +101,6 @@ def normalize_features(features) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarr
     return out, (lo, hi)
 
 
-def denormalize_features(normalized: np.ndarray,
-                         norm_params: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Inverse of :func:`normalize_features` for non-constant columns;
-    constant columns map back to their (single) original value."""
-    lo, hi = norm_params
-    span = hi - lo
-    out = np.asarray(normalized, dtype=np.float64) * span + lo
-    const = span == 0
-    if const.any():
-        out[:, const] = lo[const]
-    return out
-
-
 def apply_log_columns(mat: np.ndarray, columns: tuple[int, ...]) -> np.ndarray:
     """log10(1+x) on selected columns, for heavy-tailed features before
     min-max scaling. Returns a new matrix."""
@@ -138,11 +119,9 @@ def quantization_error(weights: np.ndarray, data: np.ndarray) -> float:
     return float(np.sqrt(d2.min(axis=1)).mean())
 
 
-def train_som(data: np.ndarray, width: int = DEFAULT_WIDTH,
-              height: int = DEFAULT_HEIGHT, epochs: int = DEFAULT_EPOCHS,
+def train_som(data: np.ndarray, width: int = _SOM["width"],
+              height: int = _SOM["height"], epochs: int = _SOM["epochs"],
               seed: int | None = None,
-              alpha: tuple[float, float] = DEFAULT_ALPHA,
-              sigma: tuple[float | None, float] = (None, DEFAULT_SIGMA_END),
               norm_params: tuple[np.ndarray, np.ndarray] | None = None) -> SomGrid:
     """Train a rectangular SOM on (already normalized) feature rows.
 
@@ -168,11 +147,9 @@ def train_som(data: np.ndarray, width: int = DEFAULT_WIDTH,
     gy = np.arange(n_cells) // width
     grid_d2 = (gx[:, None] - gx[None, :]) ** 2.0 + (gy[:, None] - gy[None, :]) ** 2.0
 
-    a0, a1 = alpha
-    s0 = sigma[0] if sigma[0] is not None else max(width, height) / 2.0
-    s1 = sigma[1]
-    if a0 <= 0 or a1 <= 0 or s0 <= 0 or s1 <= 0:
-        raise ValueError("alpha and sigma schedules must be positive")
+    a0, a1 = ALPHA
+    s0 = max(width, height) / 2.0
+    s1 = SIGMA_END
 
     total = epochs * n
     denom = max(total - 1, 1)
@@ -283,15 +260,7 @@ def write_assignment_csv(assignment: CellAssignment, path: str | Path) -> None:
 
 def read_assignment_csv(path: str | Path, width: int | None = None,
                         height: int | None = None) -> CellAssignment:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["node", "X", "Y"]:
-            raise ValueError(f"{path}: unexpected assignment header {header}")
-        rows = [(int(r[0]), int(r[1]), int(r[2])) for r in reader if r]
-    rows.sort()
-    if [r[0] for r in rows] != list(range(len(rows))):
-        raise ValueError(f"{path}: node ids are not contiguous from 0")
+    rows = read_node_csv(path, ("node", "X", "Y"), (int, int, int))
     x = np.array([r[1] for r in rows], dtype=np.int64)
     y = np.array([r[2] for r in rows], dtype=np.int64)
     if width is None:
@@ -319,11 +288,13 @@ def write_cell_stats_csv(stats: CellStats, path: str | Path) -> None:
 def read_cell_stats_csv(path: str | Path) -> CellStats:
     with Path(path).open("r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header[:3] != ["X", "Y", "count"] or not header[3:]:
             raise ValueError(f"{path}: unexpected cell-stats header {header}")
         names = tuple(h.removeprefix("mean_") for h in header[3:])
         rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path}: no cell rows after the header")
     width = 1 + max(int(r[0]) for r in rows)
     height = 1 + max(int(r[1]) for r in rows)
     counts = np.zeros(width * height, dtype=np.int64)

@@ -10,48 +10,33 @@ uniformly at random in the "random" tie mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .graph import Graph
 from .simtrace import SimTrace
 from .som import CellAssignment
 
 C, D = 0, 1
 STATE_NAMES = ("C", "D")
-
-DEFAULT_T = 1.5
-DEFAULT_EPS = 0.0
-DEFAULT_MAX_ROUNDS = 100
+_SPD = DEFAULT_CONFIG["spd"]
 
 
-@dataclass
-class SpdState:
-    """Per-agent strategies (C/D codes) after ``round`` updates, with the
-    payoffs of the round that produced them (None before any play)."""
-
-    strategies: np.ndarray
-    round: int = 0
-    payoffs: np.ndarray | None = None
-
-
-def init_spd(graph: Graph, seed=None, init: str = "random") -> SpdState:
-    """Independent fair coin per agent; "all_c"/"all_d" force one strategy."""
+def init_spd(graph: Graph, seed=None, init: str = "random") -> np.ndarray:
+    """Per-agent int8 strategies: an independent fair coin per agent;
+    "all_c"/"all_d" force one strategy."""
     if init == "random":
         rng = np.random.default_rng(seed)
-        strategies = (rng.random(graph.n) < 0.5).astype(np.int8)  # True -> D
-    elif init == "all_c":
-        strategies = np.full(graph.n, C, dtype=np.int8)
-    elif init == "all_d":
-        strategies = np.full(graph.n, D, dtype=np.int8)
-    else:
-        raise ValueError(f"unknown init mode {init!r}")
-    return SpdState(strategies=strategies, round=0)
+        return (rng.random(graph.n) < 0.5).astype(np.int8)  # True -> D
+    if init == "all_c":
+        return np.full(graph.n, C, dtype=np.int8)
+    if init == "all_d":
+        return np.full(graph.n, D, dtype=np.int8)
+    raise ValueError(f"unknown init mode {init!r}")
 
 
-def play_round(graph: Graph, strategies: np.ndarray, T: float = DEFAULT_T,
-               eps: float = DEFAULT_EPS) -> np.ndarray:
+def play_round(graph: Graph, strategies: np.ndarray, T: float = _SPD["T"],
+               eps: float = _SPD["eps"]) -> np.ndarray:
     """Accumulated payoff per agent from one game against each neighbor."""
     if not (T > 1.0 > eps >= 0.0):
         raise ValueError("dilemma ordering requires T > 1 > eps >= 0")
@@ -64,7 +49,7 @@ def play_round(graph: Graph, strategies: np.ndarray, T: float = DEFAULT_T,
 
 
 def update_strategies(graph: Graph, strategies: np.ndarray,
-                      payoffs: np.ndarray, tie: str = "min_id",
+                      payoffs: np.ndarray, tie: str = _SPD["tie"],
                       rng: np.random.Generator | None = None) -> np.ndarray:
     """Synchronous imitation of the wealthiest neighbor.
 
@@ -86,8 +71,6 @@ def update_strategies(graph: Graph, strategies: np.ndarray,
     nbr_max = np.full(n, -np.inf)
     nbr_max[nonempty] = np.maximum.reduceat(flat, starts)
     adopt = payoffs < nbr_max
-    if not adopt.any():
-        return new
 
     if tie == "min_id":
         # among neighbors achieving the max, the smallest id wins
@@ -108,13 +91,15 @@ def update_strategies(graph: Graph, strategies: np.ndarray,
     return new
 
 
-def run_spd(graph: Graph, assignment: CellAssignment, T: float = DEFAULT_T,
-            eps: float = DEFAULT_EPS, seed=None,
-            max_rounds: int = DEFAULT_MAX_ROUNDS, tie: str = "min_id",
+def run_spd(graph: Graph, assignment: CellAssignment, T: float = _SPD["T"],
+            eps: float = _SPD["eps"], seed=None,
+            max_rounds: int = _SPD["max_rounds"], tie: str = _SPD["tie"],
             init: str = "random") -> SimTrace:
     """Alternate play/update until a fixed point or ``max_rounds``.
 
-    The trace records per-cell C/D counts for round 0 and after every update.
+    The trace records per-cell C/D counts for round 0 and after every update,
+    and ``trace.fixed_point`` tells whether the last round changed no
+    strategy (which can happen on round ``max_rounds`` itself).
     The only randomness is the initial strategy draw (plus tie resolution in
     the "random" tie mode); the trajectory is otherwise deterministic.
     """
@@ -124,26 +109,21 @@ def run_spd(graph: Graph, assignment: CellAssignment, T: float = DEFAULT_T,
         raise ValueError("assignment does not cover the graph's nodes")
 
     init_seed, tie_seed = np.random.SeedSequence(seed).spawn(2)
-    state = init_spd(graph, seed=init_seed, init=init)
+    strategies = init_spd(graph, seed=init_seed, init=init)
     tie_rng = np.random.default_rng(tie_seed) if tie == "random" else None
 
-    lin = assignment.linear()
-    k = assignment.width * assignment.height
+    cells = assignment.linear()
     trace = SimTrace(state_names=STATE_NAMES, width=assignment.width,
-                     height=assignment.height, time_label="round")
-
-    def cell_counts(strategies: np.ndarray) -> np.ndarray:
-        return np.bincount(strategies.astype(np.int64) * k + lin,
-                           minlength=2 * k).reshape(2, k)
-
-    trace.append(0.0, cell_counts(state.strategies))
+                     height=assignment.height, time_label="round",
+                     fixed_point=False)
+    trace.record(0.0, strategies, cells)
     for rnd in range(1, max_rounds + 1):
-        payoffs = play_round(graph, state.strategies, T=T, eps=eps)
-        nxt = update_strategies(graph, state.strategies, payoffs,
+        payoffs = play_round(graph, strategies, T=T, eps=eps)
+        nxt = update_strategies(graph, strategies, payoffs,
                                 tie=tie, rng=tie_rng)
-        trace.append(float(rnd), cell_counts(nxt))
-        changed = not np.array_equal(nxt, state.strategies)
-        state = SpdState(strategies=nxt, round=rnd, payoffs=payoffs)
-        if not changed:
+        trace.record(float(rnd), nxt, cells)
+        if np.array_equal(nxt, strategies):
+            trace.fixed_point = True
             break
+        strategies = nxt
     return trace

@@ -290,6 +290,64 @@ def test_criterion_10_spd_defector_survival(criterion_report):
     assert ok
 
 
+# sha256 of every file in the criterion-11 report directory. A change that
+# alters these bytes on purpose updates this table and says why in CHANGES.md.
+CRITERION_11_DIGESTS = {
+    "config.json":
+        "eecd6f4969143c7ab3d10a4bb5aca233658429c0204095048fdd2b4a255bea3b",
+    "features.csv":
+        "a0761d02e524923fc0080966d5be1667c8151b36e3c8a499fe6d88e77f72a830",
+    "features.csv.meta.json":
+        "738da49145c30a9b2a3e391b91e958f1f8f5bb1053e30dda37930099d3dd5841",
+    "heatmap_hk.svg":
+        "6b2313d682adf44a134509538b2f69f0720282d43feafc9edc889932b980fa91",
+    "heatmap_hk.svg.meta.json":
+        "aa6275beb2f9886a636d794afd8032a6d7037c21dafe9bff30ffbe785be4f87f",
+    "hk.assign.csv":
+        "7412d06004b32964c6948ec4e00afe36cfb1bdc8adfea5fc2c7b3a6a27571abb",
+    "hk.assign.csv.meta.json":
+        "792b74b89f467dfc3ec960210de794a2291609c2ae64d91e462a9b92cb735202",
+    "hk.cells.csv":
+        "4ba42faac466a4067913a8f5604bc7486dca954843f6967e9c2ceab2bb41f1df",
+    "hk.cells.csv.meta.json":
+        "f5114df2d181fd01a1161bd34bbf8e85ca14fc013b3f5c5f0cc2015848ae0d6b",
+    "hk.edges":
+        "f54c496387fd7cd382badb98bde1f43db63ac69b211a08ab8774d4d6dff93023",
+    "hk.edges.meta.json":
+        "5cca4790e8cdfef1c6ff9a71e633217544989b505d7d0463ddfb3aacbb732554",
+    "hk.som.json":
+        "bec8e35913d37ae2e9c42175b0cb8108d339340d8828849e20a6d1160609b2db",
+    "hk.som.json.meta.json":
+        "a110b4d7be48cf7ea94e0f2435b7dbdc09241f445b98eca1e27e5bd60907825c",
+    "pies_sir_10.2.svg":
+        "7f956c03563e4c54945281d36f1ed5a9d3322c9cf6ce66db7185d41674b83162",
+    "pies_sir_10.2.svg.meta.json":
+        "60738e0915fca8de80b6bdc2673c0fb068d36954781e030ea3f8d4d1b080e6e7",
+    "pies_spd_5.svg":
+        "bf5df21a39130d7f4214b3c5a2f7a725c48ed088c3a9f112a2e6263149b9c7cc",
+    "pies_spd_5.svg.meta.json":
+        "0d5a92cb9fb3f25410d20d8363bf090aaa5de00db21d0fe28d6872374d0a45e4",
+    "sir_trace.csv":
+        "f6aa82173564b0bb24fbafc00cced61858e630a6e1bea1cda75ce8c150f14dc0",
+    "sir_trace.csv.meta.json":
+        "7c35554fbe0bc0c18afdc38c55946d08cd04d18e66c249bf06a3929ebc36842c",
+    "spd_trace.csv":
+        "39a34cfb29809133de752d5c69e04b8df2df49f5563dc3e52328477edcc255ba",
+    "spd_trace.csv.meta.json":
+        "0addce8b0b6ba92fd73b83368e3d775d8ae8c810d2580635dd02bf4a24a05469",
+    "summary.json":
+        "9bfafece069e6cef52353848237e7b7beae2874c1c51e3c97f5e29d7ac729fee",
+    "timeline_sir.svg":
+        "04de315f0196b9aead8eb78dbec71d96a3b9f8978dd26d6ee29756e61017b89a",
+    "timeline_sir.svg.meta.json":
+        "6f5c161b5e9f25e4500abbf7ae4d399dd7f02455af3e93b76682e0fc5cda398a",
+    "timeline_spd.svg":
+        "e59fd6b6e6231d444ca8ff15dcbbee152076b2f1993ed134bff21e8ce886df0d",
+    "timeline_spd.svg.meta.json":
+        "267f8b2cff5a13e57e7000397ef820dd0f86934b1cc10613b84d12f25b9c1a8f",
+}
+
+
 def test_criterion_11_rendering_and_determinism(criterion_report, tmp_path):
     config = {"seed": 3, "generate": {"model": "hk", "n": 400}}
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -298,6 +356,7 @@ def test_criterion_11_rendering_and_determinism(criterion_report, tmp_path):
     digests = [{p.name: sha256_file(p) for p in sorted(d.iterdir())}
                for d in (out_a, out_b)]
     deterministic = digests[0] == digests[1]
+    pinned = digests[0] == CRITERION_11_DIGESTS
 
     svgs = sorted(out_a.glob("*.svg"))
     xml_ok = True
@@ -325,9 +384,10 @@ def test_criterion_11_rendering_and_determinism(criterion_report, tmp_path):
         float(np.nanmax(vals[occ])), float(np.nanmin(vals[occ])),
         float(np.nanmax(vals[occ])))
 
-    ok = deterministic and xml_ok and angle_ok and hottest_ok
+    ok = deterministic and pinned and xml_ok and angle_ok and hottest_ok
     criterion_report(
         "11 rendering validity and pipeline determinism", ok,
         f"xml {xml_ok}, angles {angle_ok}, hottest-cell {hottest_ok}, "
-        f"byte-identical reruns {deterministic} ({len(svgs)} SVGs)")
+        f"byte-identical reruns {deterministic}, pinned digests {pinned} "
+        f"({len(svgs)} SVGs)")
     assert ok

@@ -136,6 +136,21 @@ class TestFullRun:
         with pytest.raises(ValueError, match="stale"):
             stage_metrics(edges, out / "f2.csv")
 
+    def test_fixed_point_reported_at_max_rounds(self, tmp_path):
+        # the game settles on round 4; capping it at 4 rounds must still
+        # report a fixed point, in summary.json and in the trace's meta file
+        cfg = dict(SMALL_CONFIG, sir=False, render=False)
+        free = full_run(cfg, tmp_path / "free", echo=lambda *_: None)["spd"]
+        assert free["fixed_point"] and free["rounds"] == 4
+        for cap, fixed in ((4, True), (3, False)):
+            out = tmp_path / f"cap{cap}"
+            summary = full_run(dict(cfg, spd={"max_rounds": cap}), out,
+                               echo=lambda *_: None)
+            meta = json.loads((out / "spd_trace.csv.meta.json").read_text())
+            assert summary["spd"]["rounds"] == meta["result"]["rounds"] == cap
+            assert summary["spd"]["fixed_point"] is fixed
+            assert meta["result"]["fixed_point"] is fixed
+
     def test_ensemble_runs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NETSOM_THREADS", "1")
         out = tmp_path / "ens"
@@ -192,6 +207,29 @@ class TestCli:
         bad = tmp_path / "bad.edges"
         bad.write_text("0 zebra\n")
         assert main(["metrics", str(bad)]) == 3
+
+    def test_short_assignment_row_exit_3(self, tmp_path, capsys):
+        edges = tmp_path / "g.edges"
+        assert main(["generate", "--model", "hk", "--n", "60", "--seed", "1",
+                     "-o", str(edges)]) == 0
+        short = tmp_path / "short.assign.csv"
+        short.write_text("node,X,Y\n0,0,0\n4,1\n")
+        assert main(["simulate", "spd", str(edges), str(short)]) == 3
+        assert f"{short}:3:" in capsys.readouterr().err
+
+    def test_header_only_cells_exit_3(self, tmp_path, capsys):
+        cells = tmp_path / "empty.cells.csv"
+        cells.write_text("X,Y,count,mean_k,mean_k_nn,mean_b,mean_L,mean_C\n")
+        assert main(["render", "heatmap", str(cells),
+                     "-o", str(tmp_path / "hm.svg")]) == 3
+        assert str(cells) in capsys.readouterr().err
+
+    def test_edge_beyond_node_header_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.edges"
+        bad.write_text("# nodes: 3\n0 1\n1 5\n")
+        assert main(["metrics", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:3:" in err and "out of range" in err
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "m.edges"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from netsom import build_graph, generate_hk, init_sir, run_sir, step_sir
-from netsom.sir import I, R, S, infection_probability
+from netsom import build_graph, generate_hk, init_sir, run_sir
+from netsom.sir import I, R, S, _sweep
 from netsom.som import CellAssignment
 from conftest import random_connected_graph
 
@@ -13,23 +13,47 @@ def one_cell_assignment(n):
                           y=np.zeros(n, dtype=np.int64))
 
 
+def every_sweep(g, n_initial, lam, mu, dt, seed):
+    """Whole-network S/I/R counts after every sweep of one run_sir run."""
+    trace = run_sir(g, one_cell_assignment(g.n), lam=lam, mu=mu, dt=dt,
+                    n_initial=n_initial, seed=seed, snapshot_every=dt)
+    # snapshot_every=dt takes one snapshot per sweep, t = sweep * dt
+    np.testing.assert_allclose(trace.times,
+                               dt * np.arange(len(trace.times)), atol=1e-12)
+    return [trace.totals(i) for i in range(len(trace.times))]
+
+
+# the largest uniform draw below 1
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def star_sweep(lam_dt, mu_dt, draw):
+    """_sweep on a 5-leaf star, susceptible center and infectious leaves,
+    picking the center once with the given uniform draw; returns
+    (infections and recoveries, states, infectious-neighbor counts)."""
+    g = build_graph(6, [(0, j) for j in range(1, 6)])
+    states = [S] + [I] * 5
+    inf_cnt = [5, 0, 0, 0, 0, 0]
+    result = _sweep(states, g.neighbor_lists(), inf_cnt, [0], [draw],
+                    lam_dt, mu_dt)
+    return result, states, inf_cnt
+
+
 class TestInit:
     def test_counts(self):
         g = random_connected_graph(np.random.default_rng(0), 50)
         st = init_sir(g, 10, seed=1)
-        assert st.counts().tolist() == [40, 10, 0]
-        assert st.t == 0.0
+        assert st.dtype == np.int8
+        assert np.bincount(st, minlength=3).tolist() == [40, 10, 0]
 
     def test_all_infected(self):
         g = random_connected_graph(np.random.default_rng(1), 20)
         st = init_sir(g, 20, seed=2)
-        assert st.counts().tolist() == [0, 20, 0]
+        assert np.bincount(st, minlength=3).tolist() == [0, 20, 0]
 
     def test_deterministic(self):
         g = random_connected_graph(np.random.default_rng(2), 60)
-        a = init_sir(g, 5, seed=3)
-        b = init_sir(g, 5, seed=3)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(init_sir(g, 5, seed=3), init_sir(g, 5, seed=3))
 
     def test_range_errors(self):
         g = random_connected_graph(np.random.default_rng(3), 10)
@@ -42,61 +66,54 @@ class TestInit:
 class TestStep:
     def test_lambda_zero_never_infects(self):
         g = random_connected_graph(np.random.default_rng(4), 40)
-        st = init_sir(g, 5, seed=5)
-        rng = np.random.default_rng(6)
-        for _ in range(300):
-            st = step_sir(st, g, lam=0.0, mu=1.0, dt=0.01, rng=rng)
-        c = st.counts()
-        assert c[S] == 35
-        assert c[I] + c[R] == 5
+        for c in every_sweep(g, 5, lam=0.0, mu=1.0, dt=0.01, seed=5):
+            assert c[S] == 35
+            assert c[I] + c[R] == 5
+        # the kernel too: a certain-looking draw cannot infect at lambda=0
+        assert star_sweep(0.0, 1.0, 0.0)[0] == (0, 0)
 
     def test_removed_never_changes(self):
+        # node 1 is removed with two infectious neighbors; every pick of it,
+        # with draws that would infect or recover anyone, leaves it removed
         g = build_graph(3, [(0, 1), (1, 2)])
-        st = init_sir(g, 3, seed=0)
-        st.states[:] = R
-        rng = np.random.default_rng(7)
-        out = step_sir(st, g, lam=5.0, mu=1.0, dt=0.5, rng=rng)
-        assert (out.states == R).all()
+        states = [I, R, I]
+        inf_cnt = [0, 2, 0]
+        assert _sweep(states, g.neighbor_lists(), inf_cnt, [1, 1, 1],
+                      [0.0, 0.0, 0.0], 5.0, 1.0) == (0, 0)
+        assert states == [I, R, I]
+        assert inf_cnt == [0, 2, 0]
 
     def test_conservation_every_sweep(self):
         g = random_connected_graph(np.random.default_rng(8), 30)
-        st = init_sir(g, 3, seed=9)
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            st = step_sir(st, g, lam=0.5, mu=0.5, dt=0.05, rng=rng)
-            assert st.counts().sum() == 30
+        counts = every_sweep(g, 3, lam=0.5, mu=0.5, dt=0.05, seed=10)
+        assert len(counts) > 2
+        for c in counts:
+            assert c.sum() == 30
 
     def test_monotone_s_and_r(self):
         g = random_connected_graph(np.random.default_rng(11), 50)
-        st = init_sir(g, 5, seed=12)
-        rng = np.random.default_rng(13)
-        prev = st.counts()
-        for _ in range(200):
-            st = step_sir(st, g, lam=0.3, mu=0.8, dt=0.02, rng=rng)
-            c = st.counts()
+        counts = every_sweep(g, 5, lam=0.3, mu=0.8, dt=0.02, seed=13)
+        assert len(counts) > 2
+        for prev, c in zip(counts, counts[1:]):
             assert c[S] <= prev[S]
             assert c[R] >= prev[R]
-            prev = c
 
     def test_clamped_probability(self):
-        assert infection_probability(200.0, 3, 0.01) == 1.0
-        assert infection_probability(0.2, 1, 0.01) == pytest.approx(0.002)
-        assert infection_probability(0.0, 5, 0.01) == 0.0
+        # lambda*n_I*dt = 0.2*5 = 1 and 0.4*5 = 2: every draw in [0, 1) infects
+        for lam_dt in (0.2, 0.4):
+            assert star_sweep(lam_dt, 1.0, BELOW_ONE)[0] == (1, 0)
+        # below the clamp the probability is lambda*n_I*dt = 0.1 exactly
+        assert star_sweep(0.02, 1.0, 0.0999)[0] == (1, 0)
+        assert star_sweep(0.02, 1.0, 0.1001)[0] == (0, 0)
 
     def test_hub_with_certain_infection(self):
-        # lambda*n_I*dt = 2 > 1: any pick of the susceptible center infects it;
-        # mu=0 keeps leaves infectious, so the center is I once it is picked
-        # (probability it is never picked in 50 sweeps is ~(1-1/6)^300)
-        g = build_graph(6, [(0, j) for j in range(1, 6)])
-        st = init_sir(g, 6, seed=1)
-        st.states[:] = I
-        st.states[0] = S
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            st = step_sir(st, g, lam=40.0, mu=0.0, dt=0.01, rng=rng)
-            if st.states[0] != S:
-                break
-        assert st.states[0] == I
+        # lambda*n_I*dt = 40*5*0.01 = 2 > 1: a pick of the susceptible center
+        # infects it whatever the draw; mu=0 keeps it infectious, and its
+        # leaves then count one infectious neighbor each
+        result, states, inf_cnt = star_sweep(40.0 * 0.01, 0.0, BELOW_ONE)
+        assert result == (1, 0)
+        assert states[0] == I
+        assert inf_cnt == [5, 1, 1, 1, 1, 1]
 
 
 class TestRun:
@@ -125,16 +142,6 @@ class TestRun:
         t2 = run_sir(g, a, seed=19)
         assert t1.times == t2.times
         assert all(np.array_equal(x, y) for x, y in zip(t1.counts, t2.counts))
-
-    def test_explicit_snapshot_times(self):
-        g = generate_hk(150, m=3, p_t=0.5, seed=20)
-        a = one_cell_assignment(g.n)
-        trace = run_sir(g, a, seed=21, snapshot_times=[0.25, 1.0])
-        assert trace.times[0] == 0.0
-        # interior snapshots land at the first sweep >= each requested time
-        interior = trace.times[1:-1]
-        assert all(any(abs(t - want) < 0.011 for want in (0.25, 1.0))
-                   for t in interior)
 
     def test_per_cell_counts_split_by_assignment(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from netsom import (assign_nodes, cell_stats, compute_all, denormalize_features,
-                    generate_hk, load_som_json, normalize_features,
+from netsom import (assign_nodes, cell_stats, compute_all, generate_hk,
+                    load_som_json, normalize_features,
                     quantization_error, save_som_json, train_som)
 from netsom.som import (apply_log_columns, read_assignment_csv,
                         read_cell_stats_csv, write_assignment_csv,
@@ -28,9 +28,9 @@ class TestNormalize:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         mat = rng.normal(size=(50, 5)) * [1, 10, 100, 0.01, 1]
-        norm, params = normalize_features(mat)
-        back = denormalize_features(norm, params)
-        np.testing.assert_allclose(back, mat, atol=1e-12)
+        norm, (lo, hi) = normalize_features(mat)
+        # the returned bounds invert the scaling
+        np.testing.assert_allclose(norm * (hi - lo) + lo, mat, atol=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -33,18 +33,18 @@ class TestInit:
     def test_fair_coin(self):
         g = random_connected_graph(np.random.default_rng(0), 10000)
         st = init_spd(g, seed=1)
-        n_c = int((st.strategies == C).sum())
+        assert st.dtype == np.int8
+        n_c = int((st == C).sum())
         assert abs(n_c - 5000) < 3 * 50  # 3 sigma for Bernoulli(1/2)
 
     def test_deterministic(self):
         g = random_connected_graph(np.random.default_rng(1), 100)
-        assert np.array_equal(init_spd(g, seed=2).strategies,
-                              init_spd(g, seed=2).strategies)
+        assert np.array_equal(init_spd(g, seed=2), init_spd(g, seed=2))
 
     def test_forced_inits(self):
         g = random_connected_graph(np.random.default_rng(2), 30)
-        assert (init_spd(g, init="all_c").strategies == C).all()
-        assert (init_spd(g, init="all_d").strategies == D).all()
+        assert (init_spd(g, init="all_c") == C).all()
+        assert (init_spd(g, init="all_d") == D).all()
 
 
 class TestPlayRound:
@@ -147,6 +147,7 @@ class TestRun:
         assert len(trace.times) == 2
         assert np.array_equal(trace.counts[0], trace.counts[1])
         assert trace.counts[0][0].sum() == g.n  # everyone C
+        assert trace.fixed_point
 
     def test_all_d_fixed_point(self):
         g = random_connected_graph(np.random.default_rng(6), 40)
@@ -157,14 +158,14 @@ class TestRun:
     def test_two_node_trajectory(self):
         g = build_graph(2, [(0, 1)])
         a = one_cell_assignment(2)
-        # force the C,D start by scanning seeds for it
+        # find a seed whose run starts from one C and one D
         for seed in range(50):
-            st = init_spd(g, seed=seed)
-            if st.strategies.tolist() == [C, D] or st.strategies.tolist() == [D, C]:
+            trace = run_spd(g, a, seed=seed)
+            if trace.totals(0).tolist() == [1, 1]:
                 break
-        trace = run_spd(g, a, seed=seed)
         cd = [(int(c[0].sum()), int(c[1].sum())) for c in trace.counts]
         assert cd == [(1, 1), (0, 2), (0, 2)]  # (C,D) -> (D,D) -> fixed
+        assert trace.fixed_point
 
     def test_strategy_closure(self):
         # a strategy absent from round r never reappears
@@ -203,3 +204,18 @@ class TestRun:
         g = random_connected_graph(np.random.default_rng(11), 50)
         trace = run_spd(g, one_cell_assignment(g.n), seed=12, max_rounds=7)
         assert trace.terminal_time <= 7
+
+    def test_fixed_point_on_the_last_allowed_round(self):
+        # a run that settles on round r is a fixed point with max_rounds=r
+        # too, and is cut short of one with max_rounds=r-1
+        g = random_connected_graph(np.random.default_rng(13), 60)
+        a = one_cell_assignment(g.n)
+        free = run_spd(g, a, seed=14)
+        rounds = int(free.terminal_time)
+        assert free.fixed_point and rounds >= 2
+        capped = run_spd(g, a, seed=14, max_rounds=rounds)
+        assert capped.times == free.times and capped.fixed_point
+        cut = run_spd(g, a, seed=14, max_rounds=rounds - 1)
+        assert cut.terminal_time == rounds - 1 and not cut.fixed_point
+        only = run_spd(g, a, init="all_c", max_rounds=1)
+        assert only.terminal_time == 1 and only.fixed_point
