@@ -1,7 +1,10 @@
 """The one table of defaults, read by the config, the stage and model
-functions and the CLI; it imports nothing from netsom, so any module can."""
+functions and the CLI, and the one cap on worker processes; it imports
+nothing from netsom, so any module can."""
 
 from __future__ import annotations
+
+import os
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -44,3 +47,15 @@ def resolve_config(config: dict) -> dict:
     # running neither simulation is allowed only by explicit "sir": false,
     # "spd": false; absent sections mean "run with defaults"
     return resolved
+
+
+def thread_cap() -> int:
+    """Most worker processes netsom runs at once: the NETSOM_THREADS
+    environment variable, else the CPU count."""
+    cap = os.environ.get("NETSOM_THREADS")
+    return int(cap) if cap is not None else os.cpu_count() or 1
+
+
+def worker_count(jobs: int) -> int:
+    """Workers for ``jobs`` independent jobs under the cap (at least 1)."""
+    return max(1, min(jobs, thread_cap()))

@@ -1,5 +1,5 @@
 """Undirected simple graphs with sorted CSR adjacency, edge-list file I/O,
-and the reader shared by the per-node CSV files."""
+and the CSV row parser shared by the per-node, cell and trace files."""
 
 from __future__ import annotations
 
@@ -189,21 +189,27 @@ def read_node_csv(path: str | Path, header: tuple[str, ...],
     """Rows of a CSV keyed by node id in its first column, parsed with
     ``types`` and sorted by id; the ids must run 0..n-1. Malformed input
     raises ValueError naming the file, and the line where one applies."""
-    rows = []
     with Path(path).open("r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         got = next(reader, [])
         if got != list(header):
             raise ValueError(f"{path}: unexpected header {got}")
-        for row in filter(None, reader):
-            try:
-                if len(row) != len(types):
-                    raise ValueError
-                rows.append(tuple(t(v) for t, v in zip(types, row)))
-            except ValueError:
-                raise ValueError(f"{path}:{reader.line_num}: expected "
-                                 f"{','.join(header)}, got {row}") from None
+        rows = [parse_row(path, reader, row, header, types)
+                for row in filter(None, reader)]
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: node ids are not contiguous from 0")
     return rows
+
+
+def parse_row(path: str | Path, reader, row: list[str], header, types) -> tuple:
+    """``row``, the last one ``reader`` returned, parsed with ``types``. A row
+    of another length, or with a field that does not parse, raises ValueError
+    naming ``path:line``."""
+    try:
+        if len(row) != len(types):
+            raise ValueError
+        return tuple(t(v) for t, v in zip(types, row))
+    except ValueError:
+        raise ValueError(f"{path}:{reader.line_num}: expected "
+                         f"{','.join(header)}, got {row}") from None

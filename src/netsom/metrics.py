@@ -2,7 +2,8 @@
 betweenness, average shortest-path length, and local clustering coefficient.
 
 Betweenness and path lengths come from one Brandes-style pass per source,
-vectorized over BFS frontiers, so exact values stay tractable at 10^4 nodes.
+vectorized over BFS frontiers and run in blocks of sources on worker
+processes, so exact values stay tractable at 10^4 nodes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import worker_count
 from .graph import Graph, gather_rows, read_node_csv
 
 FEATURE_NAMES = ("k", "k_nn", "b", "L", "C")
@@ -63,26 +65,41 @@ def compute_avg_path_length(graph: Graph) -> np.ndarray:
 
     Raises on disconnected input, naming an unreachable pair.
     """
-    if graph.n == 1:
-        return np.zeros(1)
+    if graph.n <= 1:
+        return np.zeros(graph.n)
     _, dist_sums = _brandes_all_sources(graph, require_connected=True)
     return dist_sums / (graph.n - 1)
 
 
 def compute_clustering(graph: Graph) -> np.ndarray:
-    """C(i) = links among neighbors of i over k_i(k_i-1)/2; 0 for k_i < 2."""
-    deg = graph.degrees
-    # summing common-neighbor counts over a node's incident edges hits every
-    # neighborhood link twice, so tri2 = 2 * E_i
-    tri2 = np.zeros(graph.n)
-    indptr, indices = graph.indptr, graph.indices
-    for u, v in graph.edge_array():
-        c = _count_common(indices[indptr[u]:indptr[u + 1]],
-                          indices[indptr[v]:indptr[v + 1]])
-        tri2[u] += c
-        tri2[v] += c
+    """C(i) = links among neighbors of i over k_i(k_i-1)/2; 0 for k_i < 2.
+
+    Triangles are listed once each from their lowest-ranked corner, ranking
+    nodes by (degree, id): every edge points to its higher-ranked end, and
+    a pair of out-neighbors of a node closes a triangle when it is an edge.
+    A node has at most sqrt(2m) out-neighbors, so there are O(m sqrt(m))
+    such pairs.
+    """
+    n, deg = graph.n, graph.degrees
+    src, dst = graph.directed_edges()
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    up = rank[src] < rank[dst]
+    tail, head = src[up], dst[up]  # grouped by tail, heads ascending by id
+    out_end = np.cumsum(np.bincount(tail, minlength=n))
+    # every pair (i, j) of positions i < j in one tail's run, so head[i] < head[j]
+    later = out_end[tail] - np.arange(tail.size) - 1
+    i = np.repeat(np.arange(tail.size), later)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
+    keys = head[i] * n + head[j]
+    lower = src < dst
+    edge_keys = src[lower] * n + dst[lower]  # ascending
+    at = np.searchsorted(edge_keys, keys)
+    closed = edge_keys[np.minimum(at, edge_keys.size - 1)] == keys
+    tri = np.bincount(np.concatenate([tail[i[closed]], head[i[closed]],
+                                      head[j[closed]]]), minlength=n)
     possible = deg * (deg - 1)
-    return np.divide(tri2, possible, out=np.zeros(graph.n), where=possible > 0)
+    return np.divide(2.0 * tri, possible, out=np.zeros(n), where=possible > 0)
 
 
 def compute_all(graph: Graph) -> NodeFeatures:
@@ -114,7 +131,11 @@ def degree_assortativity(graph: Graph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brandes accumulation, one vectorized BFS per source
+# Brandes accumulation, one vectorized BFS per source, over fixed source blocks
+
+# Sources per block. The layout depends only on n, and block results are
+# summed in block order, so the output bytes do not depend on the worker count.
+SOURCE_BLOCK = 2048
 
 
 def _brandes_all_sources(graph: Graph, require_connected: bool):
@@ -124,41 +145,63 @@ def _brandes_all_sources(graph: Graph, require_connected: bool):
     unordered pair is counted twice. dist_sums[i] is sum_j d(i, j), valid only
     when the graph is connected; with ``require_connected`` a disconnected
     graph raises, naming a pair (source, node) with no connecting path.
+
+    Blocks of SOURCE_BLOCK sources run on forked worker processes, as many
+    as the NETSOM_THREADS cap allows; a graph of one block runs in this
+    process.
     """
+    starts = range(0, graph.n, SOURCE_BLOCK)
+    workers = worker_count(len(starts))
+    if workers == 1:
+        parts = [_brandes_block(graph, lo, require_connected) for lo in starts]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            futures = [pool.submit(_brandes_block, graph, lo, require_connected)
+                       for lo in starts]
+            parts = [f.result() for f in futures]
+    raw = sum(part for part, _ in parts)  # in block order
+    return raw, np.concatenate([sums for _, sums in parts])
+
+
+def _brandes_block(graph: Graph, lo: int, require_connected: bool):
+    """Raw betweenness summed over sources lo..lo+SOURCE_BLOCK-1, and those
+    sources' distance sums."""
     n = graph.n
     indptr = graph.indptr.astype(np.int64)
     indices = graph.indices.astype(np.int64)
     counts_all = graph.degrees
+    sources = range(lo, min(lo + SOURCE_BLOCK, n))
 
     raw = np.zeros(n)
-    dist_sums = np.zeros(n)
+    dist_sums = np.zeros(len(sources))
 
     dist = np.empty(n, dtype=np.int32)
     sigma = np.empty(n)
     delta = np.empty(n)
 
-    for s in range(n):
+    for s in sources:
         dist.fill(-1)
         sigma.fill(0.0)
         dist[s] = 0
         sigma[s] = 1.0
         frontier = np.array([s], dtype=np.int64)
-        # per level: (nodes, their concatenated neighbors, their degrees),
-        # kept so the backward pass reuses the forward gathers
-        levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # the BFS DAG, one (parents, children) edge list per level
+        levels: list[tuple[np.ndarray, np.ndarray]] = []
 
         while True:
             counts = counts_all[frontier]
             flat = gather_rows(indptr, indices, counts, frontier)
-            levels.append((frontier, flat, counts))
             undiscovered = dist[flat] == -1
-            targets = flat[undiscovered]
-            if targets.size == 0:
+            children = flat[undiscovered]
+            if children.size == 0:
                 break
-            add = np.bincount(targets,
-                              weights=np.repeat(sigma[frontier], counts)[undiscovered],
-                              minlength=n)
+            parents = np.repeat(frontier, counts)[undiscovered]
+            add = np.bincount(children, weights=sigma[parents], minlength=n)
             sigma += add
+            levels.append((parents, children))
             frontier = np.flatnonzero(add > 0)
             dist[frontier] = len(levels)
 
@@ -167,33 +210,18 @@ def _brandes_all_sources(graph: Graph, require_connected: bool):
             if missing.size:
                 raise ValueError(f"graph is disconnected: no path between "
                                  f"nodes {s} and {missing[0]}")
-            dist_sums[s] = dist.sum(dtype=np.int64)
+            dist_sums[s - lo] = dist.sum(dtype=np.int64)
 
         # backward: dependency accumulation from the deepest level inward
         delta.fill(0.0)
-        for d in range(len(levels) - 1, 0, -1):
-            nodes, flat, counts = levels[d]
-            coeff = (1.0 + delta[nodes]) / sigma[nodes]
-            rep = np.repeat(coeff, counts)
-            pred = dist[flat] == d - 1
-            preds = flat[pred]
-            delta += np.bincount(preds, weights=sigma[preds] * rep[pred],
+        for parents, children in reversed(levels):
+            coeff = (1.0 + delta[children]) / sigma[children]
+            delta += np.bincount(parents, weights=sigma[parents] * coeff,
                                  minlength=n)
         delta[s] = 0.0
         raw += delta
 
     return raw, dist_sums
-
-
-def _count_common(a: np.ndarray, b: np.ndarray) -> int:
-    """Size of the intersection of two sorted unique id arrays."""
-    if a.size > b.size:
-        a, b = b, a
-    if a.size == 0:
-        return 0
-    pos = np.searchsorted(b, a)
-    pos[pos == b.size] = 0  # out-of-range never matches below anyway
-    return int(np.count_nonzero(b[pos] == a))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, DEFAULT_CONFIG, resolve_config  # noqa: F401 - re-exported
+from .config import (ConfigError, DEFAULT_CONFIG, resolve_config,  # noqa: F401 - re-exported
+                     thread_cap, worker_count)
 from .generators import generate_cnn, generate_hk
 from .graph import Graph, load_edge_list, save_edge_list
 from .metrics import (FEATURE_NAMES, NodeFeatures, compute_all,
@@ -361,11 +362,12 @@ def run_ensemble(config: dict, outdir: str | Path, runs: int,
     """Independent seeded full runs in run_<i> subdirectories.
 
     Run i derives its master seed from the config seed and i, so ensembles
-    are reproducible and order-independent. NETSOM_THREADS caps parallelism.
+    are reproducible and order-independent. NETSOM_THREADS caps the worker
+    processes; parallel runs split the cap between their metrics stages.
     """
     cfg = resolve_config(config)
     outdir = Path(outdir)
-    workers = _worker_count(runs)
+    workers = worker_count(runs)
     jobs = []
     for i in range(runs):
         sub = dict(config)
@@ -374,8 +376,9 @@ def run_ensemble(config: dict, outdir: str | Path, runs: int,
     if workers <= 1:
         return [full_run(sub, path, echo=echo) for sub, path in jobs]
     from concurrent.futures import ProcessPoolExecutor
+    share = max(1, thread_cap() // workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_quiet_full_run, sub, str(path))
+        futures = [pool.submit(_quiet_full_run, sub, str(path), share)
                    for sub, path in jobs]
         results = [f.result() for f in futures]
     for i, r in enumerate(results):
@@ -383,12 +386,6 @@ def run_ensemble(config: dict, outdir: str | Path, runs: int,
     return results
 
 
-def _quiet_full_run(config: dict, outdir: str) -> dict:
+def _quiet_full_run(config: dict, outdir: str, threads: int) -> dict:
+    os.environ["NETSOM_THREADS"] = str(threads)  # this worker's share of the cap
     return full_run(config, outdir, echo=lambda *_: None)
-
-
-def _worker_count(runs: int) -> int:
-    cap = os.environ.get("NETSOM_THREADS")
-    if cap is not None:
-        return max(1, min(runs, int(cap)))
-    return max(1, min(runs, os.cpu_count() or 1))

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .graph import parse_row
+
 
 @dataclass
 class SimTrace:
@@ -87,8 +89,9 @@ def read_trace_csv(path: str | Path) -> SimTrace:
             raise ValueError(f"{path}: unexpected trace header {header}")
         time_label = header[0]
         state_names = tuple(header[3:])
-        rows = [(float(r[0]), int(r[1]), int(r[2]), [int(v) for v in r[3:]])
-                for r in reader if r]
+        types = (float, int, int) + (int,) * len(state_names)
+        rows = [parse_row(path, reader, r, header, types)
+                for r in filter(None, reader)]
     if not rows:
         raise ValueError(f"{path}: empty trace")
     width = 1 + max(r[1] for r in rows)
@@ -97,7 +100,7 @@ def read_trace_csv(path: str | Path) -> SimTrace:
                      time_label=time_label)
     current_t: float | None = None
     block: np.ndarray | None = None
-    for t, x, y, vals in rows:
+    for t, x, y, *vals in rows:
         if current_t is None or t != current_t:
             if block is not None:
                 trace.append(current_t, block)

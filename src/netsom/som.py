@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .graph import read_node_csv
+from .graph import parse_row, read_node_csv
 
 ALPHA = (0.5, 0.01)   # start/end learning rate
 SIGMA_END = 0.5       # end radius; the start radius is max(width, height)/2
@@ -292,17 +292,28 @@ def read_cell_stats_csv(path: str | Path) -> CellStats:
         if header[:3] != ["X", "Y", "count"] or not header[3:]:
             raise ValueError(f"{path}: unexpected cell-stats header {header}")
         names = tuple(h.removeprefix("mean_") for h in header[3:])
-        rows = list(reader)
+        # an empty cell (count 0) may leave its means blank; any other cell
+        # needs numbers
+        filled = (int, int, int) + (float,) * len(names)
+        empty = (int, int, int) + (_float_or_blank,) * len(names)
+        rows = [parse_row(path, reader, r, header,
+                          empty if r[2:3] == ["0"] else filled)
+                for r in filter(None, reader)]
     if not rows:
         raise ValueError(f"{path}: no cell rows after the header")
-    width = 1 + max(int(r[0]) for r in rows)
-    height = 1 + max(int(r[1]) for r in rows)
+    width = 1 + max(r[0] for r in rows)
+    height = 1 + max(r[1] for r in rows)
     counts = np.zeros(width * height, dtype=np.int64)
     means = np.full((width * height, len(names)), np.nan)
-    for r in rows:
-        lin = int(r[1]) * width + int(r[0])
-        counts[lin] = int(r[2])
-        if counts[lin] > 0:
-            means[lin] = [float(v) for v in r[3:]]
+    for x, y, count, *vals in rows:
+        lin = y * width + x
+        counts[lin] = count
+        if count > 0:
+            means[lin] = vals
     return CellStats(width=width, height=height, counts=counts, means=means,
                      feature_names=names)
+
+
+def _float_or_blank(field: str) -> float:
+    """An empty cell's mean field: a number, or NaN when blank."""
+    return float(field) if field else np.nan

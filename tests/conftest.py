@@ -1,6 +1,11 @@
-"""Shared fixtures: seeded random graphs and the acceptance report hook."""
+"""Shared fixtures: seeded random graphs, a process-tree probe and the
+acceptance report hook."""
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,28 @@ def random_connected_graph(rng: np.random.Generator, n: int,
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return build_graph(n, sorted(edges))
+
+
+def live_descendants() -> set[int]:
+    """Ids of the processes, zombies included, descended from this one:
+    ``multiprocessing.active_children()`` plus every process whose parent
+    chain in ``/proc/<pid>/stat`` leads here."""
+    found = {p.pid for p in multiprocessing.active_children()}
+    parent = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # "pid (comm) state ppid ..."; comm may hold spaces or ")"
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+            parent[int(stat.parent.name)] = int(fields[1])
+        except (OSError, IndexError, ValueError):
+            continue  # exited while being listed
+    todo = [os.getpid()]
+    while todo:
+        here = todo.pop()
+        kids = [pid for pid, ppid in parent.items() if ppid == here]
+        found.update(kids)
+        todo.extend(kids)
+    return found
 
 
 @pytest.fixture(scope="session")

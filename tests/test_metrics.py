@@ -3,9 +3,10 @@ import pytest
 
 from netsom import (build_graph, compute_all, compute_avg_neighbor_degree,
                     compute_avg_path_length, compute_betweenness,
-                    compute_clustering, generate_hk, read_features_csv,
-                    write_features_csv)
-from conftest import random_connected_graph
+                    compute_clustering, generate_cnn, generate_hk,
+                    read_features_csv, write_features_csv)
+from netsom import metrics
+from conftest import live_descendants, random_connected_graph
 from oracles import (avg_neighbor_degree_bruteforce, avg_path_length_bruteforce,
                      betweenness_bruteforce, clustering_bruteforce)
 
@@ -167,3 +168,82 @@ class TestComputeAll:
         p = tmp_path / "features.csv"
         write_features_csv(f, p)
         assert p.read_text().splitlines()[0] == "node,k,k_nn,b,L,C"
+
+
+def _two_copies(graph):
+    """``graph`` twice, the second copy's ids shifted by ``graph.n``."""
+    e = graph.edge_array()
+    return build_graph(2 * graph.n, np.concatenate([e, e + graph.n]))
+
+
+class TestSourceBlocks:
+    """The multi-block Brandes path, with blocks small enough for n=300."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(metrics, "SOURCE_BLOCK", 64)
+
+    def test_features_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        g = generate_hk(300, m=3, p_t=0.5, seed=4)
+        files = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NETSOM_THREADS", threads)
+            f = compute_all(g)
+            assert not live_descendants()
+            files.append(tmp_path / f"features_{threads}.csv")
+            write_features_csv(f, files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes()
+        # one block sums the sources in another order: the same distances,
+        # betweenness equal to the last few ulps
+        monkeypatch.setattr(metrics, "SOURCE_BLOCK", g.n)
+        one = compute_all(g)
+        assert np.array_equal(one.L, f.L)
+        np.testing.assert_allclose(one.b, f.b, rtol=1e-12, atol=0)
+
+    def test_disconnected_error_same_for_any_worker_count(self, monkeypatch):
+        g = _two_copies(generate_hk(150, m=3, p_t=0.5, seed=4))
+        messages = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NETSOM_THREADS", threads)
+            with pytest.raises(ValueError, match="no path between") as exc:
+                compute_all(g)
+            assert not live_descendants()
+            messages.append(str(exc.value))
+        assert messages == ["graph is disconnected: no path between nodes 0 and 150"] * 2
+
+    def test_betweenness_of_disconnected_graph_over_blocks(self, monkeypatch):
+        half = generate_hk(150, m=3, p_t=0.5, seed=4)
+        monkeypatch.setenv("NETSOM_THREADS", "2")
+        b = compute_betweenness(_two_copies(half))
+        assert not live_descendants()
+        # each copy's raw sums are unchanged; only the normalization grows
+        scale = (149 * 148) / (299 * 298)
+        np.testing.assert_allclose(b, np.tile(compute_betweenness(half) * scale, 2),
+                                   rtol=1e-12, atol=0)
+
+
+class TestNetworkxOracle:
+    """All four computed features against networkx at n=1000, on graphs with
+    hubs and deep BFS levels, through the multi-block path on two workers."""
+
+    @pytest.mark.parametrize("model", ["hk", "cnn"])
+    def test_features_match(self, model, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        graph = (generate_hk(1000, m=4, p_t=0.9, seed=2) if model == "hk"
+                 else generate_cnn(1000, u=0.75, seed=2))
+        monkeypatch.setattr(metrics, "SOURCE_BLOCK", 128)
+        monkeypatch.setenv("NETSOM_THREADS", "2")
+        f = compute_all(graph)
+        G = nx.Graph()
+        G.add_nodes_from(range(graph.n))
+        G.add_edges_from(graph.edge_array().tolist())
+        nodes = range(graph.n)
+        b = nx.betweenness_centrality(G, normalized=True)
+        dist = dict(nx.all_pairs_shortest_path_length(G))
+        C = nx.clustering(G)
+        knn = nx.average_neighbor_degree(G)
+        for got, want in ((f.b, [b[i] for i in nodes]),
+                          (f.L, [sum(dist[i].values()) / (graph.n - 1) for i in nodes]),
+                          (f.C, [C[i] for i in nodes]),
+                          (f.k_nn, [knn[i] for i in nodes])):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)

@@ -5,12 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from netsom import read_trace_csv, run_sir, write_trace_csv
+from netsom import metrics, read_trace_csv, run_sir, write_trace_csv
 from netsom.cli import main
 from netsom.pipeline import (ConfigError, derive_seed, full_run,
                              resolve_config, run_ensemble, sha256_file)
 from netsom.som import CellAssignment
-from conftest import random_connected_graph
+from conftest import live_descendants, random_connected_graph
 
 SMALL_CONFIG = {"seed": 5, "generate": {"model": "hk", "n": 250}}
 
@@ -151,6 +151,19 @@ class TestFullRun:
             assert summary["spd"]["fixed_point"] is fixed
             assert meta["result"]["fixed_point"] is fixed
 
+    def test_ensemble_bytes_and_processes_under_shared_cap(self, tmp_path, monkeypatch):
+        # 2 runs under a cap of 4: each run's metrics stage forks 2 workers
+        monkeypatch.setattr(metrics, "SOURCE_BLOCK", 64)
+        digests = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("NETSOM_THREADS", threads)
+            out = tmp_path / threads
+            run_ensemble(dict(SMALL_CONFIG, sir=False, spd=False, render=False),
+                         out, 2, echo=lambda *_: None)
+            assert not live_descendants()
+            digests.append([dir_digest(out / f"run_00{i}") for i in range(2)])
+        assert digests[0] == digests[1]
+
     def test_ensemble_runs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NETSOM_THREADS", "1")
         out = tmp_path / "ens"
@@ -223,6 +236,23 @@ class TestCli:
         assert main(["render", "heatmap", str(cells),
                      "-o", str(tmp_path / "hm.svg")]) == 3
         assert str(cells) in capsys.readouterr().err
+
+    def test_short_cells_row_exit_3(self, tmp_path, capsys):
+        cells = tmp_path / "short.cells.csv"
+        cells.write_text("X,Y,count,mean_k,mean_k_nn,mean_b,mean_L,mean_C\n"
+                         "0,0,1,4,5,0.1,3,0.2\n0,0\n")
+        assert main(["render", "heatmap", str(cells),
+                     "-o", str(tmp_path / "hm.svg")]) == 3
+        assert f"{cells}:3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0,0,0,5", "0,0,0,5,x,0", "0,0,0,5,0,0,1"])
+    def test_malformed_trace_row_exit_3(self, tmp_path, capsys, row):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(f"t,X,Y,S,I,R\n0,0,0,5,0,0\n{row}\n")
+        assert main(["render", "pies", str(trace), "--t", "0",
+                     "-o", str(tmp_path / "pies.svg")]) == 3
+        assert f"{trace}:3:" in capsys.readouterr().err
+        assert not (tmp_path / "pies.svg").exists()
 
     def test_edge_beyond_node_header_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
