@@ -53,7 +53,12 @@ def thread_cap() -> int:
     """Most worker processes netsom runs at once: the NETSOM_THREADS
     environment variable, else the CPU count."""
     cap = os.environ.get("NETSOM_THREADS")
-    return int(cap) if cap is not None else os.cpu_count() or 1
+    if cap is None:
+        return os.cpu_count() or 1
+    try:
+        return int(cap)
+    except ValueError:
+        raise ConfigError(f"NETSOM_THREADS must be an integer, got {cap!r}") from None
 
 
 def worker_count(jobs: int) -> int:

@@ -202,6 +202,14 @@ def read_node_csv(path: str | Path, header: tuple[str, ...],
     return rows
 
 
+def nonnegative_int(field: str) -> int:
+    """A cell coordinate or agent count: an int >= 0, else ValueError."""
+    value = int(field)
+    if value < 0:
+        raise ValueError(field)
+    return value
+
+
 def parse_row(path: str | Path, reader, row: list[str], header, types) -> tuple:
     """``row``, the last one ``reader`` returned, parsed with ``types``. A row
     of another length, or with a field that does not parse, raises ValueError

@@ -271,6 +271,7 @@ def full_run(config: dict, outdir: str | Path, echo=print) -> dict:
     resolved config, and summary.json.
     """
     cfg = resolve_config(config)
+    thread_cap()  # a malformed NETSOM_THREADS fails here, before any stage
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     master = cfg["seed"]

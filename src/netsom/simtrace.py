@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import parse_row
+from .graph import nonnegative_int, parse_row
 
 
 @dataclass
@@ -89,7 +89,7 @@ def read_trace_csv(path: str | Path) -> SimTrace:
             raise ValueError(f"{path}: unexpected trace header {header}")
         time_label = header[0]
         state_names = tuple(header[3:])
-        types = (float, int, int) + (int,) * len(state_names)
+        types = (float,) + (nonnegative_int,) * (2 + len(state_names))
         rows = [parse_row(path, reader, r, header, types)
                 for r in filter(None, reader)]
     if not rows:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .graph import parse_row, read_node_csv
+from .graph import nonnegative_int, parse_row, read_node_csv
 
 ALPHA = (0.5, 0.01)   # start/end learning rate
 SIGMA_END = 0.5       # end radius; the start radius is max(width, height)/2
@@ -260,7 +260,8 @@ def write_assignment_csv(assignment: CellAssignment, path: str | Path) -> None:
 
 def read_assignment_csv(path: str | Path, width: int | None = None,
                         height: int | None = None) -> CellAssignment:
-    rows = read_node_csv(path, ("node", "X", "Y"), (int, int, int))
+    rows = read_node_csv(path, ("node", "X", "Y"),
+                         (int, nonnegative_int, nonnegative_int))
     x = np.array([r[1] for r in rows], dtype=np.int64)
     y = np.array([r[2] for r in rows], dtype=np.int64)
     if width is None:
@@ -294,8 +295,9 @@ def read_cell_stats_csv(path: str | Path) -> CellStats:
         names = tuple(h.removeprefix("mean_") for h in header[3:])
         # an empty cell (count 0) may leave its means blank; any other cell
         # needs numbers
-        filled = (int, int, int) + (float,) * len(names)
-        empty = (int, int, int) + (_float_or_blank,) * len(names)
+        cell = (nonnegative_int,) * 3
+        filled = cell + (float,) * len(names)
+        empty = cell + (_float_or_blank,) * len(names)
         rows = [parse_row(path, reader, r, header,
                           empty if r[2:3] == ["0"] else filled)
                 for r in filter(None, reader)]

@@ -9,6 +9,7 @@ import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 from scipy.stats import spearmanr
 
 from netsom import (assign_nodes, build_graph, cell_stats, compute_all,
@@ -25,6 +26,8 @@ from oracles import (avg_path_length_bruteforce, betweenness_bruteforce,
                      clustering_bruteforce)
 from test_render import RECT_ID_RE, per_pie_angle_sums
 from test_spd import reference_update
+
+pytestmark = pytest.mark.acceptance
 
 
 def one_cell(n):

@@ -114,6 +114,26 @@ def test_round_trip_property(tmp_path_factory, n, data):
     assert g2 == g
 
 
+def _rows_strictly_ascending(g):
+    same_row = np.diff(np.repeat(np.arange(g.n), g.degrees)) == 0
+    return bool((np.diff(g.indices)[same_row] > 0).all())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.data())
+def test_csr_rows_sorted(tmp_path_factory, n, data):
+    """Rows are strictly ascending however the edges arrive; the Brandes
+    pass relies on it for output that does not depend on its scan order."""
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]),
+        max_size=80))
+    p = tmp_path_factory.mktemp("csr") / "g.edges"
+    p.write_text(f"# nodes: {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+    assert _rows_strictly_ascending(build_graph(n, pairs))
+    assert _rows_strictly_ascending(load_edge_list(p))
+
+
 def test_edge_array_canonical():
     g = build_graph(4, [(2, 0), (3, 2), (1, 0)])
     e = g.edge_array()

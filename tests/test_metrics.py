@@ -1,3 +1,6 @@
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from netsom import (build_graph, compute_all, compute_avg_neighbor_degree,
                     compute_avg_path_length, compute_betweenness,
                     compute_clustering, generate_cnn, generate_hk,
                     read_features_csv, write_features_csv)
-from netsom import metrics
+from netsom import Graph, metrics
 from conftest import live_descendants, random_connected_graph
 from oracles import (avg_neighbor_degree_bruteforce, avg_path_length_bruteforce,
                      betweenness_bruteforce, clustering_bruteforce)
@@ -163,6 +166,17 @@ class TestComputeAll:
         for name in ("k", "k_nn", "b", "L", "C"):
             assert np.array_equal(getattr(f, name), getattr(f2, name)), name
 
+    def test_one_block_cnn_bytes_pinned(self, tmp_path):
+        """A one-block CNN graph with leaves and long BFS tails; the scan goes
+        bottom-up on most of its levels. The sha256 is the features file
+        of the plain top-down scan, which it must keep bit for bit."""
+        g = generate_cnn(500, u=0.75, seed=2)
+        assert g.n <= metrics.SOURCE_BLOCK and (g.degrees == 1).any()
+        path = tmp_path / "features.csv"
+        write_features_csv(compute_all(g), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1250b2c03f4b267e2bcf289192229595e4f7cb9fae8e3091d296c43ac52cef86")
+
     def test_csv_header(self, tmp_path):
         f = compute_all(K3)
         p = tmp_path / "features.csv"
@@ -199,6 +213,22 @@ class TestSourceBlocks:
         one = compute_all(g)
         assert np.array_equal(one.L, f.L)
         np.testing.assert_allclose(one.b, f.b, rtol=1e-12, atol=0)
+
+    def test_workers_inherit_the_graph_unpickled(self, tmp_path, monkeypatch):
+        g = generate_hk(300, m=3, p_t=0.5, seed=4)
+        monkeypatch.setenv("NETSOM_THREADS", "1")
+        files = [tmp_path / "in_process.csv", tmp_path / "forked.csv"]
+        write_features_csv(compute_all(g), files[0])
+
+        def refuse(self, protocol):
+            raise TypeError("a Graph was pickled")
+        monkeypatch.setattr(Graph, "__reduce_ex__", refuse)
+        with pytest.raises(TypeError, match="pickled"):
+            pickle.dumps(g)
+        monkeypatch.setenv("NETSOM_THREADS", "2")
+        write_features_csv(compute_all(g), files[1])
+        assert not live_descendants()
+        assert files[0].read_bytes() == files[1].read_bytes()
 
     def test_disconnected_error_same_for_any_worker_count(self, monkeypatch):
         g = _two_copies(generate_hk(150, m=3, p_t=0.5, seed=4))

@@ -245,7 +245,8 @@ class TestCli:
                      "-o", str(tmp_path / "hm.svg")]) == 3
         assert f"{cells}:3:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["0,0,0,5", "0,0,0,5,x,0", "0,0,0,5,0,0,1"])
+    @pytest.mark.parametrize("row", ["0,0,0,5", "0,0,0,5,x,0", "0,0,0,5,0,0,1",
+                                     "0,-1,0,7,0,0"])
     def test_malformed_trace_row_exit_3(self, tmp_path, capsys, row):
         trace = tmp_path / "bad.csv"
         trace.write_text(f"t,X,Y,S,I,R\n0,0,0,5,0,0\n{row}\n")
@@ -253,6 +254,29 @@ class TestCli:
                      "-o", str(tmp_path / "pies.svg")]) == 3
         assert f"{trace}:3:" in capsys.readouterr().err
         assert not (tmp_path / "pies.svg").exists()
+
+    def test_negative_cells_coordinate_exit_3(self, tmp_path, capsys):
+        cells = tmp_path / "neg.cells.csv"
+        cells.write_text("X,Y,count,mean_k,mean_k_nn,mean_b,mean_L,mean_C\n"
+                         "0,0,1,4,5,0.1,3,0.2\n0,-1,9,4,5,0.1,3,0.2\n")
+        assert main(["render", "heatmap", str(cells),
+                     "-o", str(tmp_path / "hm.svg")]) == 3
+        assert f"{cells}:3:" in capsys.readouterr().err
+        assert not (tmp_path / "hm.svg").exists()
+
+    def test_non_integer_thread_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        edges = tmp_path / "g.edges"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        monkeypatch.setenv("NETSOM_THREADS", "abc")
+        assert main(["metrics", str(edges)]) == 2
+        assert "NETSOM_THREADS" in capsys.readouterr().err
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        for runs in ("1", "2"):
+            assert main(["run", str(config), "-o", str(tmp_path / runs),
+                         "--runs", runs]) == 2
+            assert "NETSOM_THREADS" in capsys.readouterr().err
+            assert not (tmp_path / runs).exists()  # failed before any stage
 
     def test_edge_beyond_node_header_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
