@@ -1,9 +1,10 @@
 """Categorize nodes on a 5x5 self-organizing map and render heat maps.
 
-Feature vectors are min-max normalized and fed to online Kohonen training;
-every node then maps to its best-matching cell. The heat maps show how each
-raw feature varies across the lattice: with these networks, degree and
-betweenness concentrate in one corner and clustering runs opposite.
+Feature vectors are min-max normalized and trained with Kohonen's batch map,
+no learning rate; every node then maps to its best-matching cell. The heat
+maps show how each raw feature varies across the lattice: with these
+networks, degree and betweenness concentrate in one corner and clustering
+runs opposite.
 
 Run:  python3 demos/03_som_categories.py
 """

@@ -21,8 +21,27 @@ class ConfigError(ValueError):
     pass
 
 
+def _check(name: str, value, default) -> None:
+    """A user value must be of its default's kind; a bool is never a number."""
+    def number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    kind, ok = {
+        int: ("an integer", number(value) and isinstance(value, int)),
+        float: ("a number", number(value)),
+        str: ("a string", isinstance(value, str)),
+        list: ("a list of strings", isinstance(value, list)
+               and all(isinstance(v, str) for v in value)),
+        type(None): ("null or a list of numbers", value is None
+                     or isinstance(value, list) and all(map(number, value))),
+    }[type(default)]
+    if not ok:
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
 def resolve_config(config: dict) -> dict:
-    """Overlay user config onto the defaults; unknown keys are errors."""
+    """Overlay user config onto the defaults; unknown keys and values of
+    the wrong type are errors."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     known_top = set(DEFAULT_CONFIG) | {"outdir"}
@@ -30,8 +49,7 @@ def resolve_config(config: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     resolved = {"seed": config.get("seed", DEFAULT_CONFIG["seed"])}
-    if not isinstance(resolved["seed"], int):
-        raise ConfigError("seed must be an integer")
+    _check("seed", resolved["seed"], DEFAULT_CONFIG["seed"])
     for section in ("generate", "som", "sir", "spd", "render"):
         user = config.get(section, {})
         if user is False:
@@ -43,6 +61,8 @@ def resolve_config(config: dict) -> dict:
         bad = set(user) - set(defaults)
         if bad:
             raise ConfigError(f"unknown keys in {section!r}: {sorted(bad)}")
+        for key, value in user.items():
+            _check(f"{section}.{key}", value, defaults[key])
         resolved[section] = {**defaults, **user}
     # running neither simulation is allowed only by explicit "sir": false,
     # "spd": false; absent sections mean "run with defaults"
@@ -56,9 +76,12 @@ def thread_cap() -> int:
     if cap is None:
         return os.cpu_count() or 1
     try:
-        return int(cap)
+        value = int(cap)
     except ValueError:
-        raise ConfigError(f"NETSOM_THREADS must be an integer, got {cap!r}") from None
+        value = 0
+    if value < 1:
+        raise ConfigError(f"NETSOM_THREADS must be an integer >= 1, got {cap!r}")
+    return value
 
 
 def worker_count(jobs: int) -> int:

@@ -126,13 +126,10 @@ def build_graph(node_count: int, edges: Iterable[tuple[int, int]] | np.ndarray) 
         loops = e[:, 0] == e[:, 1]
         if loops.any():
             raise ValueError(f"self-loop on node {e[loops][0][0]} is not allowed")
-    both = np.concatenate([e, e[:, ::-1]]) if e.size else e
-    keys = np.unique(both[:, 0] * n + both[:, 1]) if both.size else np.empty(0, np.int64)
-    src = keys // n if keys.size else keys
-    dst = keys % n if keys.size else keys
+    both = np.concatenate([e, e[:, ::-1]])
+    src, dst = np.divmod(np.unique(both[:, 0] * n + both[:, 1]), n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    if src.size:
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(n, indptr, dst.astype(np.int32))
 
 

@@ -283,10 +283,5 @@ def write_features_csv(features: NodeFeatures, path: str | Path) -> None:
 def read_features_csv(path: str | Path) -> NodeFeatures:
     rows = read_node_csv(path, ("node",) + FEATURE_NAMES,
                          (int, int, float, float, float, float))
-    return NodeFeatures(
-        k=np.array([r[1] for r in rows], dtype=np.int64),
-        k_nn=np.array([r[2] for r in rows]),
-        b=np.array([r[3] for r in rows]),
-        L=np.array([r[4] for r in rows]),
-        C=np.array([r[5] for r in rows]),
-    )
+    _, k, *floats = np.array(rows, dtype=np.float64).reshape(-1, 6).T.copy()
+    return NodeFeatures(k.astype(np.int64), *floats)

@@ -86,7 +86,10 @@ def check_fresh(path: str | Path) -> Path:
     meta_path = path.with_name(path.name + ".meta.json")
     if not meta_path.exists():
         return path  # hand-made input; nothing recorded to check against
-    recorded = json.loads(meta_path.read_text(encoding="utf-8")).get("output_sha256")
+    try:
+        recorded = json.loads(meta_path.read_text(encoding="utf-8")).get("output_sha256")
+    except (ValueError, AttributeError):
+        raise ValueError(f"corrupt meta file {meta_path}: not a JSON object") from None
     if recorded is not None and recorded != sha256_file(path):
         raise ValueError(f"stale input: {path} does not match its recorded hash")
     return path

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -62,18 +63,12 @@ class SimTrace:
         return int(np.argmin(diffs))
 
 
-def _format_time(t: float, label: str) -> str:
-    if label == "round":
-        return str(int(round(t)))
-    return f"{t:.10g}"
-
-
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
     names = ",".join(trace.state_names)
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{trace.time_label},X,Y,{names}\n")
         for t, counts in zip(trace.times, trace.counts):
-            ts = _format_time(t, trace.time_label)
+            ts = str(int(round(t))) if trace.time_label == "round" else f"{t:.10g}"
             for lin in range(trace.n_cells):
                 x, y = lin % trace.width, lin // trace.width
                 vals = ",".join(str(int(counts[s, lin]))
@@ -98,14 +93,9 @@ def read_trace_csv(path: str | Path) -> SimTrace:
     height = 1 + max(r[2] for r in rows)
     trace = SimTrace(state_names=state_names, width=width, height=height,
                      time_label=time_label)
-    current_t: float | None = None
-    block: np.ndarray | None = None
-    for t, x, y, *vals in rows:
-        if current_t is None or t != current_t:
-            if block is not None:
-                trace.append(current_t, block)
-            current_t = t
-            block = np.zeros((len(state_names), width * height), dtype=np.int64)
-        block[:, y * width + x] = vals
-    trace.append(current_t, block)
+    for t, block in groupby(rows, key=lambda r: r[0]):  # one snapshot per run of t
+        counts = np.zeros((len(state_names), width * height), dtype=np.int64)
+        for _, x, y, *vals in block:
+            counts[:, y * width + x] = vals
+        trace.append(t, counts)
     return trace

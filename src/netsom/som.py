@@ -1,9 +1,9 @@
 """Self-organizing-map categorization of node feature vectors.
 
-Classic online Kohonen training on a rectangular lattice: per sample, the
-best-matching unit (BMU) is found by Euclidean distance and every cell moves
-toward the sample under a Gaussian neighborhood. Learning rate and
-neighborhood radius decay exponentially over all epochs*N presentations.
+Kohonen's batch map on a rectangular lattice, with no learning rate: each
+epoch assigns every sample to its best-matching unit (BMU) by Euclidean
+distance, then sets every cell to the Gaussian-neighborhood-weighted mean of
+all samples. The neighborhood radius decays exponentially once per epoch.
 Cells are addressed as (X, Y) with linear index Y*width + X.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +19,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG
 from .graph import nonnegative_int, parse_row, read_node_csv
 
-ALPHA = (0.5, 0.01)   # start/end learning rate
 SIGMA_END = 0.5       # end radius; the start radius is max(width, height)/2
 _SOM = DEFAULT_CONFIG["som"]
 
@@ -92,12 +90,7 @@ def normalize_features(features) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarr
     lo = mat.min(axis=0)
     hi = mat.max(axis=0)
     span = hi - lo
-    out = np.empty_like(mat)
-    for j in range(mat.shape[1]):
-        if span[j] == 0.0:
-            out[:, j] = 0.5
-        else:
-            out[:, j] = (mat[:, j] - lo[j]) / span[j]
+    out = np.where(span == 0.0, 0.5, (mat - lo) / np.where(span == 0.0, 1.0, span))
     return out, (lo, hi)
 
 
@@ -113,21 +106,38 @@ def apply_log_columns(mat: np.ndarray, columns: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def _sq_dists(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(n, cells) squared Euclidean distances from every row to every cell,
+    summed one feature at a time so no temporary exceeds (n, cells)."""
+    d2 = np.zeros((data.shape[0], weights.shape[0]))
+    for j in range(data.shape[1]):
+        d2 += (data[:, j, None] - weights[None, :, j]) ** 2
+    return d2
+
+
+def _cell_sums(lin: np.ndarray, mat: np.ndarray, cells: int):
+    """Row counts and column sums of ``mat`` per cell, row i in cell lin[i]."""
+    sums = np.stack([np.bincount(lin, weights=col, minlength=cells)
+                     for col in mat.T], axis=1)
+    return np.bincount(lin, minlength=cells), sums
+
+
 def quantization_error(weights: np.ndarray, data: np.ndarray) -> float:
     """Mean Euclidean distance from samples to their best-matching unit."""
-    d2 = ((data[:, None, :] - weights[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min(axis=1)).mean())
+    return float(np.sqrt(_sq_dists(data, weights).min(axis=1)).mean())
 
 
 def train_som(data: np.ndarray, width: int = _SOM["width"],
               height: int = _SOM["height"], epochs: int = _SOM["epochs"],
               seed: int | None = None,
               norm_params: tuple[np.ndarray, np.ndarray] | None = None) -> SomGrid:
-    """Train a rectangular SOM on (already normalized) feature rows.
+    """Train a rectangular SOM on (already normalized) feature rows with
+    Kohonen's batch map, which has no learning rate and no sample order.
 
-    Weights initialize uniformly in [0,1]^dim from ``seed``; each epoch
-    presents all samples in a fresh seeded shuffle. Raises if training fails
-    to improve the quantization error over the random initialization.
+    Weights initialize uniformly in [0,1]^dim from ``seed``. A cell whose
+    neighborhood weights all underflow to 0 keeps its vector. Raises if
+    training fails to improve the quantization error over the random
+    initialization.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -137,40 +147,25 @@ def train_som(data: np.ndarray, width: int = _SOM["width"],
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
 
-    n, dim = data.shape
+    dim = data.shape[1]
     n_cells = width * height
     rng = np.random.default_rng(seed)
     weights = rng.random((n_cells, dim))
 
     # squared lattice distances between cells, in (X, Y) coordinates
-    gx = np.arange(n_cells) % width
-    gy = np.arange(n_cells) // width
+    gy, gx = np.divmod(np.arange(n_cells), width)
     grid_d2 = (gx[:, None] - gx[None, :]) ** 2.0 + (gy[:, None] - gy[None, :]) ** 2.0
-
-    a0, a1 = ALPHA
-    s0 = max(width, height) / 2.0
-    s1 = SIGMA_END
-
-    total = epochs * n
-    denom = max(total - 1, 1)
-    la = math.log(a1 / a0)
-    ls = math.log(s1 / s0)
 
     qe_initial = quantization_error(weights, data)
 
-    t = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for i in order:
-            x = data[i]
-            frac = t / denom
-            a_t = a0 * math.exp(la * frac)
-            s_t = s0 * math.exp(ls * frac)
-            diff = x - weights
-            bmu = int(np.argmin((diff * diff).sum(axis=1)))  # first = lowest linear index
-            h = np.exp(grid_d2[bmu] * (-0.5 / (s_t * s_t)))
-            weights += (a_t * h)[:, None] * diff
-            t += 1
+    for sigma in np.geomspace(max(width, height) / 2.0, SIGMA_END, epochs):
+        bmu = _sq_dists(data, weights).argmin(axis=1)  # first = lowest linear index
+        counts, sums = _cell_sums(bmu, data, n_cells)
+        h = np.exp(grid_d2 * (-0.5 / (sigma * sigma)))
+        # h @ counts and h @ sums, summed by numpy so no BLAS build moves the bytes
+        den = (h * counts).sum(axis=1)
+        live = den > 0
+        weights[live] = (h[:, :, None] * sums).sum(axis=1)[live] / den[live, None]
 
     qe_final = quantization_error(weights, data)
     if qe_final > qe_initial:
@@ -194,8 +189,7 @@ def assign_nodes(grid: SomGrid, data: np.ndarray) -> CellAssignment:
         raise ValueError(
             f"feature dimension {data.shape[-1] if data.ndim == 2 else '?'} "
             f"does not match grid dimension {grid.dim}")
-    d2 = ((data[:, None, :] - grid.weights[None, :, :]) ** 2).sum(axis=2)
-    lin = np.argmin(d2, axis=1)
+    lin = _sq_dists(data, grid.weights).argmin(axis=1)
     return CellAssignment(width=grid.width, height=grid.height,
                           x=(lin % grid.width).astype(np.int64),
                           y=(lin // grid.width).astype(np.int64))
@@ -214,14 +208,11 @@ def cell_stats(assignment: CellAssignment, raw_features,
         raise ValueError("assignment does not cover the feature rows")
     if feature_names is None:
         feature_names = tuple(f"f{j}" for j in range(mat.shape[1]))
-    k = assignment.width * assignment.height
-    lin = assignment.linear()
-    counts = np.bincount(lin, minlength=k)
-    means = np.full((k, mat.shape[1]), np.nan)
+    counts, sums = _cell_sums(assignment.linear(), mat,
+                              assignment.width * assignment.height)
+    means = np.full(sums.shape, np.nan)
     occupied = counts > 0
-    for j in range(mat.shape[1]):
-        sums = np.bincount(lin, weights=mat[:, j], minlength=k)
-        means[occupied, j] = sums[occupied] / counts[occupied]
+    means[occupied] = sums[occupied] / counts[occupied, None]
     return CellStats(width=assignment.width, height=assignment.height,
                      counts=counts, means=means,
                      feature_names=tuple(feature_names))

@@ -303,51 +303,51 @@ CRITERION_11_DIGESTS = {
     "features.csv.meta.json":
         "738da49145c30a9b2a3e391b91e958f1f8f5bb1053e30dda37930099d3dd5841",
     "heatmap_hk.svg":
-        "6b2313d682adf44a134509538b2f69f0720282d43feafc9edc889932b980fa91",
+        "ed3742f9e9ce7f1fcc04bb8c69a66e5e75f37e813081e1d5485703e32599bfaa",
     "heatmap_hk.svg.meta.json":
-        "aa6275beb2f9886a636d794afd8032a6d7037c21dafe9bff30ffbe785be4f87f",
+        "9935607e5e9c4533c2a66780266cc5c2cae07f0ca22d05ba8a9bffd832570873",
     "hk.assign.csv":
-        "7412d06004b32964c6948ec4e00afe36cfb1bdc8adfea5fc2c7b3a6a27571abb",
+        "12344c31677dab5703304937039188cbcb69eee6894d4925d69cab930864b07b",
     "hk.assign.csv.meta.json":
-        "792b74b89f467dfc3ec960210de794a2291609c2ae64d91e462a9b92cb735202",
+        "adbfe7ac3960ef9971c58795318855e02f755149f9a1c8fdec568979b7e65269",
     "hk.cells.csv":
-        "4ba42faac466a4067913a8f5604bc7486dca954843f6967e9c2ceab2bb41f1df",
+        "913cadb294606d3601983c3ff6a5b847d395eddba697cdac1d160e77553404bd",
     "hk.cells.csv.meta.json":
-        "f5114df2d181fd01a1161bd34bbf8e85ca14fc013b3f5c5f0cc2015848ae0d6b",
+        "a286d59c834bd5e5aca18b6273dc8d1c8dd6f135e389a0c40dcb93284181c973",
     "hk.edges":
         "f54c496387fd7cd382badb98bde1f43db63ac69b211a08ab8774d4d6dff93023",
     "hk.edges.meta.json":
         "5cca4790e8cdfef1c6ff9a71e633217544989b505d7d0463ddfb3aacbb732554",
     "hk.som.json":
-        "bec8e35913d37ae2e9c42175b0cb8108d339340d8828849e20a6d1160609b2db",
+        "4dcdd4c1337b59ce4a377bdd7d8a7282e4fa559d213ecf41d3daf3c527f22835",
     "hk.som.json.meta.json":
-        "a110b4d7be48cf7ea94e0f2435b7dbdc09241f445b98eca1e27e5bd60907825c",
+        "c8780560e099e88c477615a915885bf76f49175b987f99385bfcc71912b9fb99",
     "pies_sir_10.2.svg":
-        "7f956c03563e4c54945281d36f1ed5a9d3322c9cf6ce66db7185d41674b83162",
+        "b87ab62a653570e17e1497fb6a85729800ad5a45ee0dfcb00f26d48ce43c0ed9",
     "pies_sir_10.2.svg.meta.json":
-        "60738e0915fca8de80b6bdc2673c0fb068d36954781e030ea3f8d4d1b080e6e7",
+        "11debf80df260638c06a1fbcc8abcd0b74346fe529b333a8bd4eb6c31cea552a",
     "pies_spd_5.svg":
         "bf5df21a39130d7f4214b3c5a2f7a725c48ed088c3a9f112a2e6263149b9c7cc",
     "pies_spd_5.svg.meta.json":
-        "0d5a92cb9fb3f25410d20d8363bf090aaa5de00db21d0fe28d6872374d0a45e4",
+        "db1b5f330d883f1b3c174e9e6b9a82cf1231e3b7a0236fc60d37f4e8ef77dfe9",
     "sir_trace.csv":
-        "f6aa82173564b0bb24fbafc00cced61858e630a6e1bea1cda75ce8c150f14dc0",
+        "3bade53be661e8b34ae0d1418b1c195ea974f90c253098cb7533d48158e06696",
     "sir_trace.csv.meta.json":
-        "7c35554fbe0bc0c18afdc38c55946d08cd04d18e66c249bf06a3929ebc36842c",
+        "c9951f0254eed6ce51b1bb1780bb4a1d0ce2f4267593adba6a256ba9150bd5fe",
     "spd_trace.csv":
-        "39a34cfb29809133de752d5c69e04b8df2df49f5563dc3e52328477edcc255ba",
+        "c448bb89c4a3bcb8e03e47caf020b6470ec44c3b52b8a9504654c8a0f248cecd",
     "spd_trace.csv.meta.json":
-        "0addce8b0b6ba92fd73b83368e3d775d8ae8c810d2580635dd02bf4a24a05469",
+        "84a2bf885b5b15d9b262d70b95dd2067e993f1bca9e2098342a83f9fab39df76",
     "summary.json":
-        "9bfafece069e6cef52353848237e7b7beae2874c1c51e3c97f5e29d7ac729fee",
+        "f0138e06066c6d06b6ec06c1d1ee1b8da8900566fed780593d60f2abad0a03b8",
     "timeline_sir.svg":
-        "04de315f0196b9aead8eb78dbec71d96a3b9f8978dd26d6ee29756e61017b89a",
+        "0c9ac8b59a47c7d19bbb5592568a9aec055282a75dbcc48620c34488dbaceb7f",
     "timeline_sir.svg.meta.json":
-        "6f5c161b5e9f25e4500abbf7ae4d399dd7f02455af3e93b76682e0fc5cda398a",
+        "b615d61c4a437ee9e653dddff14201a650b0b2bb83c4d860039236e53414ff18",
     "timeline_spd.svg":
-        "e59fd6b6e6231d444ca8ff15dcbbee152076b2f1993ed134bff21e8ce886df0d",
+        "402cf8af9344faf3d89b15d8b5f257133e0cb8ebbfdd1f3377fc3c9f5b1837dc",
     "timeline_spd.svg.meta.json":
-        "267f8b2cff5a13e57e7000397ef820dd0f86934b1cc10613b84d12f25b9c1a8f",
+        "1bebe6c58a4713c26afea372d15764e672aa75a3b09f5b1825a97200722ce131",
 }
 
 

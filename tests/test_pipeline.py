@@ -57,6 +57,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             resolve_config({"sir": {"lambdaa": 0.1}})
 
+    def test_value_types(self):
+        # an int will do for a float, but a bool is never a number
+        cfg = resolve_config({"sir": {"lambda": 1}, "render": {"times": [0, 2.5]},
+                              "som": {"log_features": ["b"]}})
+        assert cfg["sir"]["lambda"] == 1 and cfg["render"]["times"] == [0, 2.5]
+        for bad in ({"seed": True}, {"seed": 1.0}, {"generate": {"n": 10.0}}):
+            with pytest.raises(ConfigError):
+                resolve_config(bad)
+
 
 class TestFullRun:
     def test_report_contents_and_summary(self, tmp_path):
@@ -267,16 +276,38 @@ class TestCli:
     def test_non_integer_thread_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         edges = tmp_path / "g.edges"
         edges.write_text("0 1\n1 2\n2 0\n")
-        monkeypatch.setenv("NETSOM_THREADS", "abc")
-        assert main(["metrics", str(edges)]) == 2
-        assert "NETSOM_THREADS" in capsys.readouterr().err
         config = tmp_path / "c.json"
         config.write_text(json.dumps(SMALL_CONFIG))
-        for runs in ("1", "2"):
-            assert main(["run", str(config), "-o", str(tmp_path / runs),
-                         "--runs", runs]) == 2
+        for cap in ("abc", "0", "-3"):
+            monkeypatch.setenv("NETSOM_THREADS", cap)
+            assert main(["metrics", str(edges)]) == 2
             assert "NETSOM_THREADS" in capsys.readouterr().err
-            assert not (tmp_path / runs).exists()  # failed before any stage
+            for runs in ("1", "2"):
+                out = tmp_path / f"{cap}_{runs}"
+                assert main(["run", str(config), "-o", str(out),
+                             "--runs", runs]) == 2
+                assert "NETSOM_THREADS" in capsys.readouterr().err
+                assert not out.exists()  # failed before any stage
+
+    def test_corrupt_meta_exit_3(self, tmp_path, capsys):
+        features = tmp_path / "g.features.csv"
+        features.write_text("node,k,k_nn,b,L,C\n0,1,1,0,1,0\n1,1,1,0,1,0\n")
+        meta = tmp_path / "g.features.csv.meta.json"
+        meta.write_text("garbage")
+        assert main(["categorize", str(features)]) == 3
+        assert str(meta) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("som", "width", "5"), ("sir", "initial", 2.5), ("render", "times", "abc"),
+        ("render", "times", [1, True]), ("spd", "T", True), ("som", "log_features", "b"),
+        ("generate", "model", 3)])
+    def test_config_value_type_exit_2(self, tmp_path, capsys, section, key, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, section: {key: value}}))
+        out = tmp_path / "report"
+        assert main(["run", str(config), "-o", str(out)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()  # failed before any stage
 
     def test_edge_beyond_node_header_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"

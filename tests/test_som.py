@@ -80,6 +80,26 @@ class TestTraining:
         g2 = train_som(data, 4, 3, epochs=10, seed=9)
         assert np.array_equal(g1.weights, g2.weights)
 
+    def test_sample_order_does_not_matter(self):
+        # the batch map sums over all rows at once, so a permutation of the
+        # rows changes only the order of floating-point sums
+        data = np.random.default_rng(11).random((300, 5))
+        for seed in range(3):
+            perm = np.random.default_rng(100 + seed).permutation(len(data))
+            g1 = train_som(data, 5, 4, epochs=10, seed=seed)
+            g2 = train_som(data[perm], 5, 4, epochs=10, seed=seed)
+            np.testing.assert_allclose(g2.weights, g1.weights, rtol=0, atol=1e-9)
+            assert np.array_equal(assign_nodes(g2, data[perm]).linear(),
+                                  assign_nodes(g1, data).linear()[perm])
+
+    def test_underflowing_neighborhood_keeps_weights_finite(self):
+        # on a 40x1 lattice the end radius makes exp underflow to 0 between
+        # far-apart cells, so cells far from the one occupied cell get no
+        # weight at all
+        data = np.tile([0.2, 0.9, 0.4], (50, 1))
+        grid = train_som(data, 40, 1, epochs=10, seed=4)
+        assert np.isfinite(grid.weights).all()
+
     def test_validation(self):
         data = np.random.default_rng(0).random((10, 2))
         with pytest.raises(ValueError):
