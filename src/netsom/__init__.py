@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .graph import Graph, build_graph, load_edge_list, save_edge_list
 from .generators import generate_cnn, generate_hk
 from .metrics import (FEATURE_NAMES, NodeFeatures, compute_all,
-                      compute_avg_neighbor_degree, compute_avg_path_length,
-                      compute_betweenness, compute_clustering,
+                      compute_avg_neighbor_degree, compute_clustering,
                       degree_assortativity, read_features_csv,
                       write_features_csv)
 from .som import (CellAssignment, CellStats, SomGrid, assign_nodes,
@@ -24,8 +23,7 @@ __all__ = [
     "Graph", "build_graph", "load_edge_list", "save_edge_list",
     "generate_hk", "generate_cnn",
     "FEATURE_NAMES", "NodeFeatures", "compute_all",
-    "compute_avg_neighbor_degree", "compute_avg_path_length",
-    "compute_betweenness", "compute_clustering", "degree_assortativity",
+    "compute_avg_neighbor_degree", "compute_clustering", "degree_assortativity",
     "read_features_csv", "write_features_csv",
     "SomGrid", "CellAssignment", "CellStats", "normalize_features",
     "train_som", "assign_nodes", "cell_stats",

@@ -25,9 +25,22 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _parse_times(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        times = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
+        times = []
+    if not times:
         raise argparse.ArgumentTypeError(f"times must be comma-separated numbers, got {text!r}")
+    return times
+
+
+def _parse_runs(text: str) -> int:
+    try:
+        runs = int(text)
+    except ValueError:
+        runs = 0
+    if runs < 1:
+        raise argparse.ArgumentTypeError(f"runs must be an integer >= 1, got {text!r}")
+    return runs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline from a JSON config")
     p.add_argument("config")
     p.add_argument("-o", "--outdir", default=None)
-    p.add_argument("--runs", type=int, default=1,
+    p.add_argument("--runs", type=_parse_runs, default=1,
                    help="ensemble of independent seeded runs (NETSOM_THREADS caps workers)")
 
     return parser

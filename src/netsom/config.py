@@ -32,8 +32,9 @@ def _check(name: str, value, default) -> None:
         str: ("a string", isinstance(value, str)),
         list: ("a list of strings", isinstance(value, list)
                and all(isinstance(v, str) for v in value)),
-        type(None): ("null or a list of numbers", value is None
-                     or isinstance(value, list) and all(map(number, value))),
+        type(None): ("null or a non-empty list of numbers", value is None
+                     or isinstance(value, list) and len(value) > 0
+                     and all(map(number, value))),
     }[type(default)]
     if not ok:
         raise ConfigError(f"{name} must be {kind}, got {value!r}")

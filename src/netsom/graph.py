@@ -4,6 +4,7 @@ and the CSV row parser shared by the per-node, cell and trace files."""
 from __future__ import annotations
 
 import csv
+import math
 import re
 from pathlib import Path
 from typing import Iterable
@@ -22,14 +23,13 @@ class Graph:
     must not be mutated after construction.
     """
 
-    __slots__ = ("n", "indptr", "indices", "degrees", "_nbr_lists")
+    __slots__ = ("n", "indptr", "indices", "degrees")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
         self.indptr = indptr
         self.indices = indices
         self.degrees = np.diff(indptr).astype(np.int64)
-        self._nbr_lists: list[list[int]] | None = None
         indptr.setflags(write=False)
         indices.setflags(write=False)
 
@@ -44,14 +44,6 @@ class Graph:
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbor ids of node i (read-only view)."""
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Adjacency as plain Python lists; built once and cached."""
-        if self._nbr_lists is None:
-            idx = self.indices.tolist()
-            ptr = self.indptr.tolist()
-            self._nbr_lists = [idx[ptr[i]:ptr[i + 1]] for i in range(self.n)]
-        return self._nbr_lists
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) int array with u < v, lexicographically sorted."""
@@ -203,6 +195,14 @@ def nonnegative_int(field: str) -> int:
     """A cell coordinate or agent count: an int >= 0, else ValueError."""
     value = int(field)
     if value < 0:
+        raise ValueError(field)
+    return value
+
+
+def finite_float(field: str) -> float:
+    """A feature value: a finite float, else ValueError."""
+    value = float(field)
+    if not math.isfinite(value):
         raise ValueError(field)
     return value
 

@@ -1,11 +1,13 @@
 """Per-node structural features: degree, average neighbor degree, normalized
 betweenness, average shortest-path length, and local clustering coefficient.
 
-Betweenness and path lengths come from one Brandes-style pass per source,
-vectorized over BFS levels, each level scanned top-down from the frontier
-or bottom-up from the undiscovered nodes, whichever touches fewer edges.
-Sources run in blocks of 512 on forked worker processes, so exact values
-stay tractable at 10^4 nodes.
+:func:`compute_all` is the one entry point. Betweenness and path lengths
+come from one Brandes-style pass per source (Brandes 2001), vectorized over
+BFS levels, each level scanned top-down from the frontier or bottom-up from
+the undiscovered nodes, whichever touches fewer edges. Every node needs an
+average path length, so a disconnected graph is rejected, naming a pair of
+nodes with no path between them. Sources run in blocks of 512 on forked
+worker processes, so exact values stay tractable at 10^4 nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import worker_count
-from .graph import Graph, gather_rows, read_node_csv
+from .graph import Graph, finite_float, gather_rows, read_node_csv
 
 FEATURE_NAMES = ("k", "k_nn", "b", "L", "C")
 
@@ -47,30 +49,6 @@ def compute_avg_neighbor_degree(graph: Graph) -> np.ndarray:
     src, dst = graph.directed_edges()
     sums = np.bincount(src, weights=deg[dst], minlength=graph.n)
     return np.divide(sums, deg, out=np.zeros(graph.n), where=deg > 0)
-
-
-def compute_betweenness(graph: Graph) -> np.ndarray:
-    """Fraction of all-pairs shortest paths through each node.
-
-    The raw Brandes accumulation counts every unordered pair twice (once per
-    endpoint as source), so the pair-sum is raw/2, normalized by
-    (N-1)(N-2)/2. Unreachable pairs contribute nothing.
-    """
-    if graph.n < 3:
-        raise ValueError("betweenness needs at least 3 nodes")
-    raw, _ = _brandes_all_sources(graph, require_connected=False)
-    return raw / ((graph.n - 1) * (graph.n - 2))
-
-
-def compute_avg_path_length(graph: Graph) -> np.ndarray:
-    """L(i) = sum of hop distances from i to every other node, over N-1.
-
-    Raises on disconnected input, naming an unreachable pair.
-    """
-    if graph.n <= 1:
-        return np.zeros(graph.n)
-    _, dist_sums = _brandes_all_sources(graph, require_connected=True)
-    return dist_sums / (graph.n - 1)
 
 
 def compute_clustering(graph: Graph) -> np.ndarray:
@@ -105,10 +83,15 @@ def compute_clustering(graph: Graph) -> np.ndarray:
 
 
 def compute_all(graph: Graph) -> NodeFeatures:
-    """All five features in one pass over sources plus the local measures."""
+    """All five features in one pass over sources plus the local measures.
+
+    The raw Brandes accumulation counts every unordered pair twice (once per
+    endpoint as source), so the pair-sum is raw/2, normalized by
+    (N-1)(N-2)/2; L(i) is the sum of hop distances from i over N-1.
+    """
     if graph.n < 3:
         raise ValueError("feature vector needs at least 3 nodes")
-    raw, dist_sums = _brandes_all_sources(graph, require_connected=True)
+    raw, dist_sums = _brandes_all_sources(graph)
     return NodeFeatures(
         k=graph.degrees.copy(),
         k_nn=compute_avg_neighbor_degree(graph),
@@ -140,13 +123,13 @@ def degree_assortativity(graph: Graph) -> float:
 SOURCE_BLOCK = 512
 
 
-def _brandes_all_sources(graph: Graph, require_connected: bool):
+def _brandes_all_sources(graph: Graph):
     """Returns (raw betweenness, per-node distance sums).
 
     raw[i] accumulates the Brandes dependency of every source on i, i.e. each
-    unordered pair is counted twice. dist_sums[i] is sum_j d(i, j), valid only
-    when the graph is connected; with ``require_connected`` a disconnected
-    graph raises, naming a pair (source, node) with no connecting path.
+    unordered pair is counted twice. dist_sums[i] is sum_j d(i, j). A
+    disconnected graph raises, naming a pair (source, node) with no
+    connecting path.
 
     Blocks of SOURCE_BLOCK sources run on forked worker processes, as many
     as the NETSOM_THREADS cap allows; the workers inherit the graph through
@@ -155,33 +138,32 @@ def _brandes_all_sources(graph: Graph, require_connected: bool):
     starts = range(0, graph.n, SOURCE_BLOCK)
     workers = worker_count(len(starts))
     if workers == 1:
-        parts = [_brandes_block(graph, lo, require_connected) for lo in starts]
+        parts = [_brandes_block(graph, lo) for lo in starts]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit,
-                                 initargs=(graph, require_connected)) as pool:
+                                 initargs=(graph,)) as pool:
             parts = list(pool.map(_inherited_block, starts))
     raw = sum(part for part, _ in parts)  # in block order
     return raw, np.concatenate([sums for _, sums in parts])
 
 
-# (graph, require_connected) in a forked block worker, set by _inherit
-_inherited: tuple = ()
+# the graph in a forked block worker, set by _inherit
+_inherited: Graph | None = None
 
 
-def _inherit(graph: Graph, require_connected: bool) -> None:
+def _inherit(graph: Graph) -> None:
     global _inherited
-    _inherited = (graph, require_connected)
+    _inherited = graph
 
 
 def _inherited_block(lo: int):
-    graph, require_connected = _inherited
-    return _brandes_block(graph, lo, require_connected)
+    return _brandes_block(_inherited, lo)
 
 
-def _brandes_block(graph: Graph, lo: int, require_connected: bool):
+def _brandes_block(graph: Graph, lo: int):
     """Raw betweenness summed over sources lo..lo+SOURCE_BLOCK-1, and those
     sources' distance sums.
 
@@ -222,7 +204,7 @@ def _brandes_block(graph: Graph, lo: int, require_connected: bool):
         # the BFS DAG, one (parents, children) edge list per level
         levels: list[tuple[np.ndarray, np.ndarray]] = []
 
-        while left:  # or until a level finds no new node (disconnected)
+        while left:
             if frontier_deg > left_deg + left:
                 rest = (np.flatnonzero(dist == -1) if rest is None
                         else rest[dist[rest] == -1])
@@ -237,7 +219,9 @@ def _brandes_block(graph: Graph, lo: int, require_connected: bool):
                 children = flat[undiscovered]
                 parents = np.repeat(frontier, counts)[undiscovered]
             if children.size == 0:
-                break
+                missing = np.flatnonzero(dist < 0)
+                raise ValueError(f"graph is disconnected: no path between "
+                                 f"nodes {s} and {missing[0]}")
             add = np.bincount(children, weights=sigma[parents], minlength=n)
             sigma += add
             levels.append((parents, children))
@@ -248,12 +232,7 @@ def _brandes_block(graph: Graph, lo: int, require_connected: bool):
             left -= frontier.size
             left_deg -= frontier_deg
 
-        if require_connected:
-            if left:
-                missing = np.flatnonzero(dist < 0)
-                raise ValueError(f"graph is disconnected: no path between "
-                                 f"nodes {s} and {missing[0]}")
-            dist_sums[s - lo] = dist.sum(dtype=np.int64)
+        dist_sums[s - lo] = dist.sum(dtype=np.int64)
 
         # backward: dependency accumulation from the deepest level inward
         delta.fill(0.0)
@@ -282,6 +261,6 @@ def write_features_csv(features: NodeFeatures, path: str | Path) -> None:
 
 def read_features_csv(path: str | Path) -> NodeFeatures:
     rows = read_node_csv(path, ("node",) + FEATURE_NAMES,
-                         (int, int, float, float, float, float))
+                         (int, int) + (finite_float,) * 4)
     _, k, *floats = np.array(rows, dtype=np.float64).reshape(-1, 6).T.copy()
     return NodeFeatures(k.astype(np.int64), *floats)

@@ -207,9 +207,12 @@ def _simulate(name: str, edges_path: str | Path, assign_path: str | Path,
               out_path: str | Path, seed: int, params: dict) -> SimTrace:
     """Shared body of the simulate stages; ``params`` uses config keys."""
     edges_path, assign_path = check_fresh(edges_path), check_fresh(assign_path)
-    trace = globals()[f"run_{name}"](load_edge_list(edges_path),
-                                     read_assignment_csv(assign_path),
-                                     seed=seed, **stage_keywords(params))
+    graph, assignment = load_edge_list(edges_path), read_assignment_csv(assign_path)
+    if assignment.n != graph.n:
+        raise ValueError(f"{assign_path} assigns {assignment.n} nodes but "
+                         f"{edges_path} has {graph.n}")
+    trace = globals()[f"run_{name}"](graph, assignment, seed=seed,
+                                     **stage_keywords(params))
     write_trace_csv(trace, out_path)
     _write_meta(Path(out_path), f"simulate-{name}", params, seed,
                 [edges_path, assign_path], result=SIMULATIONS[name][0](trace))
@@ -255,11 +258,11 @@ def _write_svg(out_path: str | Path, svg: str, stage: str, params: dict,
     _write_meta(out_path, stage, params, None, [in_path])
 
 
-def default_timeline_times(trace: SimTrace, panels: int = 6) -> list[float]:
-    """Evenly spaced snapshot times from start to terminal, at most ``panels``."""
-    if len(trace.times) <= panels:
+def default_timeline_times(trace: SimTrace) -> list[float]:
+    """Evenly spaced snapshot times from start to terminal, at most six."""
+    if len(trace.times) <= 6:
         return list(trace.times)
-    idx = np.linspace(0, len(trace.times) - 1, panels).round().astype(int)
+    idx = np.linspace(0, len(trace.times) - 1, 6).round().astype(int)
     return [trace.times[i] for i in sorted(set(int(i) for i in idx))]
 
 

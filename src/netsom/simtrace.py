@@ -85,8 +85,12 @@ def read_trace_csv(path: str | Path) -> SimTrace:
         time_label = header[0]
         state_names = tuple(header[3:])
         types = (float,) + (nonnegative_int,) * (2 + len(state_names))
-        rows = [parse_row(path, reader, r, header, types)
-                for r in filter(None, reader)]
+        rows = []
+        for r in filter(None, reader):
+            rows.append(parse_row(path, reader, r, header, types))
+            if len(rows) > 1 and rows[-1][0] < rows[-2][0]:
+                raise ValueError(f"{path}:{reader.line_num}: snapshot times "
+                                 f"must be strictly increasing")
     if not rows:
         raise ValueError(f"{path}: empty trace")
     width = 1 + max(r[1] for r in rows)

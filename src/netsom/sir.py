@@ -90,7 +90,8 @@ def run_sir(graph: Graph, assignment: CellAssignment,
     rng = np.random.default_rng(step_seed)
 
     n = graph.n
-    nbrs = graph.neighbor_lists()
+    idx, ptr = graph.indices.tolist(), graph.indptr.tolist()
+    nbrs = [idx[ptr[i]:ptr[i + 1]] for i in range(n)]
     states = states0.tolist()
     src, dst = graph.directed_edges()
     inf_cnt = np.bincount(src[states0[dst] == I], minlength=n).tolist()

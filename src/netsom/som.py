@@ -249,17 +249,14 @@ def write_assignment_csv(assignment: CellAssignment, path: str | Path) -> None:
             fh.write(f"{i},{assignment.x[i]},{assignment.y[i]}\n")
 
 
-def read_assignment_csv(path: str | Path, width: int | None = None,
-                        height: int | None = None) -> CellAssignment:
+def read_assignment_csv(path: str | Path) -> CellAssignment:
+    """The lattice size is inferred as 1 + the largest X and Y."""
     rows = read_node_csv(path, ("node", "X", "Y"),
                          (int, nonnegative_int, nonnegative_int))
     x = np.array([r[1] for r in rows], dtype=np.int64)
     y = np.array([r[2] for r in rows], dtype=np.int64)
-    if width is None:
-        width = int(x.max()) + 1 if x.size else 1
-    if height is None:
-        height = int(y.max()) + 1 if y.size else 1
-    return CellAssignment(width=width, height=height, x=x, y=y)
+    return CellAssignment(width=int(x.max()) + 1 if x.size else 1,
+                          height=int(y.max()) + 1 if y.size else 1, x=x, y=y)
 
 
 def write_cell_stats_csv(stats: CellStats, path: str | Path) -> None:

@@ -22,17 +22,10 @@ STATE_NAMES = ("C", "D")
 _SPD = DEFAULT_CONFIG["spd"]
 
 
-def init_spd(graph: Graph, seed=None, init: str = "random") -> np.ndarray:
-    """Per-agent int8 strategies: an independent fair coin per agent;
-    "all_c"/"all_d" force one strategy."""
-    if init == "random":
-        rng = np.random.default_rng(seed)
-        return (rng.random(graph.n) < 0.5).astype(np.int8)  # True -> D
-    if init == "all_c":
-        return np.full(graph.n, C, dtype=np.int8)
-    if init == "all_d":
-        return np.full(graph.n, D, dtype=np.int8)
-    raise ValueError(f"unknown init mode {init!r}")
+def init_spd(graph: Graph, seed=None) -> np.ndarray:
+    """Per-agent int8 strategies: an independent fair coin per agent."""
+    rng = np.random.default_rng(seed)
+    return (rng.random(graph.n) < 0.5).astype(np.int8)  # True -> D
 
 
 def play_round(graph: Graph, strategies: np.ndarray, T: float = _SPD["T"],
@@ -93,8 +86,8 @@ def update_strategies(graph: Graph, strategies: np.ndarray,
 
 def run_spd(graph: Graph, assignment: CellAssignment, T: float = _SPD["T"],
             eps: float = _SPD["eps"], seed=None,
-            max_rounds: int = _SPD["max_rounds"], tie: str = _SPD["tie"],
-            init: str = "random") -> SimTrace:
+            max_rounds: int = _SPD["max_rounds"],
+            tie: str = _SPD["tie"]) -> SimTrace:
     """Alternate play/update until a fixed point or ``max_rounds``.
 
     The trace records per-cell C/D counts for round 0 and after every update,
@@ -109,7 +102,7 @@ def run_spd(graph: Graph, assignment: CellAssignment, T: float = _SPD["T"],
         raise ValueError("assignment does not cover the graph's nodes")
 
     init_seed, tie_seed = np.random.SeedSequence(seed).spawn(2)
-    strategies = init_spd(graph, seed=init_seed, init=init)
+    strategies = init_spd(graph, seed=init_seed)
     tie_rng = np.random.default_rng(tie_seed) if tie == "random" else None
 
     cells = assignment.linear()

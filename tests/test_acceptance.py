@@ -13,8 +13,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from netsom import (assign_nodes, build_graph, cell_stats, compute_all,
-                    compute_avg_neighbor_degree, compute_avg_path_length,
-                    compute_betweenness, compute_clustering,
+                    compute_avg_neighbor_degree, compute_clustering,
                     degree_assortativity, generate_cnn, generate_hk,
                     normalize_features, play_round, ramp_color,
                     run_sir, run_spd, train_som, update_strategies)
@@ -51,9 +50,10 @@ def test_criterion_1_metric_exactness(criterion_report):
     worst = 0.0
     for _ in range(100):
         g = random_connected_graph(rng, int(rng.integers(4, 13)))
+        f = compute_all(g)
         for got, want in (
-            (compute_betweenness(g), betweenness_bruteforce(g)),
-            (compute_avg_path_length(g), avg_path_length_bruteforce(g)),
+            (f.b, betweenness_bruteforce(g)),
+            (f.L, avg_path_length_bruteforce(g)),
             (compute_clustering(g), clustering_bruteforce(g)),
         ):
             worst = max(worst, float(np.abs(np.asarray(got) - np.asarray(want)).max()))
@@ -224,10 +224,9 @@ def test_criterion_9_spd_invariants(criterion_report):
     ok = True
     # all-C and all-D are fixed points
     g = generate_hk(300, m=4, p_t=0.9, seed=5)
-    for init in ("all_c", "all_d"):
-        trace = run_spd(g, one_cell(g.n), init=init, seed=0)
-        ok &= len(trace.times) == 2
-        ok &= np.array_equal(trace.counts[0], trace.counts[1])
+    for strategy in (C, D):
+        every = np.full(g.n, strategy, dtype=np.int8)
+        ok &= np.array_equal(update_strategies(g, every, play_round(g, every)), every)
     # 2-node trajectory (C,D) -> (D,D) -> fixed
     g2 = build_graph(2, [(0, 1)])
     s = np.array([C, D], dtype=np.int8)

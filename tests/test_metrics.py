@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from netsom import (build_graph, compute_all, compute_avg_neighbor_degree,
-                    compute_avg_path_length, compute_betweenness,
                     compute_clustering, generate_cnn, generate_hk,
                     read_features_csv, write_features_csv)
 from netsom import Graph, metrics
@@ -39,59 +38,51 @@ class TestAvgNeighborDegree:
 
 class TestBetweenness:
     def test_path_middle(self):
-        assert compute_betweenness(P3).tolist() == [0, 1, 0]
+        assert compute_all(P3).b.tolist() == [0, 1, 0]
 
     def test_triangle_all_zero(self):
-        assert compute_betweenness(K3).tolist() == [0, 0, 0]
+        assert compute_all(K3).b.tolist() == [0, 0, 0]
 
     def test_star_center(self):
-        b = compute_betweenness(STAR4)
+        b = compute_all(STAR4).b
         assert b[0] == 1 and (b[1:] == 0).all()
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            compute_betweenness(build_graph(2, [(0, 1)]))
-
-    def test_disconnected_pairs_contribute_zero(self):
-        # two P3 components: each middle node intermediates exactly 1 pair,
-        # denominator (5*4)/2 = 10
-        g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        b = compute_betweenness(g)
-        assert b[1] == pytest.approx(0.1)
-        assert b[4] == pytest.approx(0.1)
+            compute_all(build_graph(2, [(0, 1)]))
 
     def test_matches_bruteforce_on_random_graphs(self):
         rng = np.random.default_rng(2024)
         for _ in range(30):
             g = random_connected_graph(rng, int(rng.integers(4, 13)))
-            got = compute_betweenness(g)
+            got = compute_all(g).b
             want = betweenness_bruteforce(g)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
 
 class TestAvgPathLength:
     def test_triangle(self):
-        assert compute_avg_path_length(K3).tolist() == [1, 1, 1]
+        assert compute_all(K3).L.tolist() == [1, 1, 1]
 
     def test_path(self):
-        L = compute_avg_path_length(P3)
+        L = compute_all(P3).L
         assert L[1] == 1 and L[0] == L[2] == 1.5
 
     def test_star(self):
-        L = compute_avg_path_length(STAR4)
+        L = compute_all(STAR4).L
         assert L[0] == 1
         assert L[1] == pytest.approx((1 + 2 + 2 + 2) / 4)
 
     def test_disconnected_raises_with_pair(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="no path between"):
-            compute_avg_path_length(g)
+            compute_all(g)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             g = random_connected_graph(rng, int(rng.integers(4, 13)))
-            np.testing.assert_allclose(compute_avg_path_length(g),
+            np.testing.assert_allclose(compute_all(g).L,
                                        avg_path_length_bruteforce(g), atol=1e-12)
 
     def test_mean_matches_scipy_distance_matrix(self):
@@ -103,7 +94,7 @@ class TestAvgPathLength:
                           shape=(g.n, g.n))
         d = shortest_path(A, method="BF", unweighted=True)
         want = d.sum(axis=1) / (g.n - 1)
-        np.testing.assert_allclose(compute_avg_path_length(g), want, atol=1e-9)
+        np.testing.assert_allclose(compute_all(g).L, want, atol=1e-9)
 
 
 class TestClustering:
@@ -240,16 +231,6 @@ class TestSourceBlocks:
             assert not live_descendants()
             messages.append(str(exc.value))
         assert messages == ["graph is disconnected: no path between nodes 0 and 150"] * 2
-
-    def test_betweenness_of_disconnected_graph_over_blocks(self, monkeypatch):
-        half = generate_hk(150, m=3, p_t=0.5, seed=4)
-        monkeypatch.setenv("NETSOM_THREADS", "2")
-        b = compute_betweenness(_two_copies(half))
-        assert not live_descendants()
-        # each copy's raw sums are unchanged; only the normalization grows
-        scale = (149 * 148) / (299 * 298)
-        np.testing.assert_allclose(b, np.tile(compute_betweenness(half) * scale, 2),
-                                   rtol=1e-12, atol=0)
 
 
 class TestNetworkxOracle:

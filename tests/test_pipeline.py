@@ -222,13 +222,29 @@ class TestCli:
         assert main(["run", str(cfg), "-o", str(tmp_path / "x")]) == 2
         cfg.write_text(json.dumps({"nope": 1}))
         assert main(["run", str(cfg), "-o", str(tmp_path / "x")]) == 2
+        # usage errors: argparse exits 2 before any stage
+        cfg.write_text(json.dumps(SMALL_CONFIG))
+        trace = tmp_path / "t.csv"
+        trace.write_text("t,X,Y,S,I,R\n0,0,0,5,0,0\n")
+        for argv in (["run", str(cfg), "-o", str(tmp_path / "x"), "--runs", "0"],
+                     ["run", str(cfg), "-o", str(tmp_path / "x"), "--runs", "-1"],
+                     ["render", "timeline", str(trace), "--times", ",",
+                      "-o", str(tmp_path / "tl.svg")]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert not (tmp_path / "x").exists() and not (tmp_path / "tl.svg").exists()
 
-    def test_stage_failure_exit_3(self, tmp_path):
+    def test_stage_failure_exit_3(self, tmp_path, capsys):
         missing = tmp_path / "missing.edges"
         assert main(["metrics", str(missing)]) == 3
         bad = tmp_path / "bad.edges"
         bad.write_text("0 zebra\n")
         assert main(["metrics", str(bad)]) == 3
+        features = tmp_path / "nan.features.csv"
+        features.write_text("node,k,k_nn,b,L,C\n0,1,1,0,1,0\n1,1,nan,0,1,0\n")
+        assert main(["categorize", str(features)]) == 3
+        assert f"{features}:3:" in capsys.readouterr().err
 
     def test_short_assignment_row_exit_3(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"
@@ -238,6 +254,17 @@ class TestCli:
         short.write_text("node,X,Y\n0,0,0\n4,1\n")
         assert main(["simulate", "spd", str(edges), str(short)]) == 3
         assert f"{short}:3:" in capsys.readouterr().err
+
+    def test_assignment_for_another_graph_exit_3(self, tmp_path, capsys):
+        edges = tmp_path / "g.edges"
+        assert main(["generate", "--model", "hk", "--n", "60", "--seed", "1",
+                     "-o", str(edges)]) == 0
+        short = tmp_path / "short.assign.csv"
+        short.write_text("node,X,Y\n" + "".join(f"{i},0,0\n" for i in range(30)))
+        assert main(["simulate", "sir", str(edges), str(short)]) == 3
+        err = capsys.readouterr().err
+        assert str(edges) in err and str(short) in err
+        assert "30" in err and "60" in err
 
     def test_header_only_cells_exit_3(self, tmp_path, capsys):
         cells = tmp_path / "empty.cells.csv"
@@ -255,7 +282,7 @@ class TestCli:
         assert f"{cells}:3:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["0,0,0,5", "0,0,0,5,x,0", "0,0,0,5,0,0,1",
-                                     "0,-1,0,7,0,0"])
+                                     "0,-1,0,7,0,0", "-1,0,0,5,0,0"])
     def test_malformed_trace_row_exit_3(self, tmp_path, capsys, row):
         trace = tmp_path / "bad.csv"
         trace.write_text(f"t,X,Y,S,I,R\n0,0,0,5,0,0\n{row}\n")
@@ -300,7 +327,7 @@ class TestCli:
     @pytest.mark.parametrize("section,key,value", [
         ("som", "width", "5"), ("sir", "initial", 2.5), ("render", "times", "abc"),
         ("render", "times", [1, True]), ("spd", "T", True), ("som", "log_features", "b"),
-        ("generate", "model", 3)])
+        ("generate", "model", 3), ("render", "times", [])])
     def test_config_value_type_exit_2(self, tmp_path, capsys, section, key, value):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({**SMALL_CONFIG, section: {key: value}}))

@@ -27,6 +27,10 @@ def every_sweep(g, n_initial, lam, mu, dt, seed):
 BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
+def adjacency_lists(g):
+    return [g.neighbors(i).tolist() for i in range(g.n)]
+
+
 def star_sweep(lam_dt, mu_dt, draw):
     """_sweep on a 5-leaf star, susceptible center and infectious leaves,
     picking the center once with the given uniform draw; returns
@@ -34,7 +38,7 @@ def star_sweep(lam_dt, mu_dt, draw):
     g = build_graph(6, [(0, j) for j in range(1, 6)])
     states = [S] + [I] * 5
     inf_cnt = [5, 0, 0, 0, 0, 0]
-    result = _sweep(states, g.neighbor_lists(), inf_cnt, [0], [draw],
+    result = _sweep(states, adjacency_lists(g), inf_cnt, [0], [draw],
                     lam_dt, mu_dt)
     return result, states, inf_cnt
 
@@ -78,7 +82,7 @@ class TestStep:
         g = build_graph(3, [(0, 1), (1, 2)])
         states = [I, R, I]
         inf_cnt = [0, 2, 0]
-        assert _sweep(states, g.neighbor_lists(), inf_cnt, [1, 1, 1],
+        assert _sweep(states, adjacency_lists(g), inf_cnt, [1, 1, 1],
                       [0.0, 0.0, 0.0], 5.0, 1.0) == (0, 0)
         assert states == [I, R, I]
         assert inf_cnt == [0, 2, 0]

@@ -197,7 +197,7 @@ class TestSerialization:
         a = assign_nodes(grid, data)
         p = tmp_path / "assign.csv"
         write_assignment_csv(a, p)
-        a2 = read_assignment_csv(p, width=5, height=5)
+        a2 = read_assignment_csv(p)
         assert np.array_equal(a.x, a2.x) and np.array_equal(a.y, a2.y)
 
     def test_cell_stats_csv_round_trip(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import netsom.spd
 from netsom import build_graph, init_spd, play_round, run_spd, update_strategies
 from netsom.spd import C, D
 from netsom.som import CellAssignment
@@ -40,11 +41,6 @@ class TestInit:
     def test_deterministic(self):
         g = random_connected_graph(np.random.default_rng(1), 100)
         assert np.array_equal(init_spd(g, seed=2), init_spd(g, seed=2))
-
-    def test_forced_inits(self):
-        g = random_connected_graph(np.random.default_rng(2), 30)
-        assert (init_spd(g, init="all_c") == C).all()
-        assert (init_spd(g, init="all_d") == D).all()
 
 
 class TestPlayRound:
@@ -140,18 +136,26 @@ class TestUpdate:
             update_strategies(g, s, payoffs, tie="random")
 
 
+def start_all(monkeypatch, strategy):
+    """Make run_spd start from every agent playing ``strategy``."""
+    monkeypatch.setattr(netsom.spd, "init_spd",
+                        lambda graph, seed: np.full(graph.n, strategy, dtype=np.int8))
+
+
 class TestRun:
-    def test_all_c_fixed_point_two_snapshots(self):
+    def test_all_c_fixed_point_two_snapshots(self, monkeypatch):
         g = random_connected_graph(np.random.default_rng(5), 40)
-        trace = run_spd(g, one_cell_assignment(g.n), init="all_c", seed=0)
+        start_all(monkeypatch, C)
+        trace = run_spd(g, one_cell_assignment(g.n), seed=0)
         assert len(trace.times) == 2
         assert np.array_equal(trace.counts[0], trace.counts[1])
         assert trace.counts[0][0].sum() == g.n  # everyone C
         assert trace.fixed_point
 
-    def test_all_d_fixed_point(self):
+    def test_all_d_fixed_point(self, monkeypatch):
         g = random_connected_graph(np.random.default_rng(6), 40)
-        trace = run_spd(g, one_cell_assignment(g.n), init="all_d", seed=0)
+        start_all(monkeypatch, D)
+        trace = run_spd(g, one_cell_assignment(g.n), seed=0)
         assert len(trace.times) == 2
         assert trace.counts[0][1].sum() == g.n
 
@@ -205,7 +209,7 @@ class TestRun:
         trace = run_spd(g, one_cell_assignment(g.n), seed=12, max_rounds=7)
         assert trace.terminal_time <= 7
 
-    def test_fixed_point_on_the_last_allowed_round(self):
+    def test_fixed_point_on_the_last_allowed_round(self, monkeypatch):
         # a run that settles on round r is a fixed point with max_rounds=r
         # too, and is cut short of one with max_rounds=r-1
         g = random_connected_graph(np.random.default_rng(13), 60)
@@ -217,5 +221,6 @@ class TestRun:
         assert capped.times == free.times and capped.fixed_point
         cut = run_spd(g, a, seed=14, max_rounds=rounds - 1)
         assert cut.terminal_time == rounds - 1 and not cut.fixed_point
-        only = run_spd(g, a, init="all_c", max_rounds=1)
+        start_all(monkeypatch, C)
+        only = run_spd(g, a, max_rounds=1)
         assert only.terminal_time == 1 and only.fixed_point
