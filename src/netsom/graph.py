@@ -200,7 +200,7 @@ def nonnegative_int(field: str) -> int:
 
 
 def finite_float(field: str) -> float:
-    """A feature value: a finite float, else ValueError."""
+    """A finite float (a feature, a cell mean, a time), else ValueError."""
     value = float(field)
     if not math.isfinite(value):
         raise ValueError(field)

@@ -4,10 +4,13 @@ betweenness, average shortest-path length, and local clustering coefficient.
 :func:`compute_all` is the one entry point. Betweenness and path lengths
 come from one Brandes-style pass per source (Brandes 2001), vectorized over
 BFS levels, each level scanned top-down from the frontier or bottom-up from
-the undiscovered nodes, whichever touches fewer edges. Every node needs an
-average path length, so a disconnected graph is rejected, naming a pair of
-nodes with no path between them. Sources run in blocks of 512 on forked
-worker processes, so exact values stay tractable at 10^4 nodes.
+the undiscovered nodes, whichever touches fewer edges. The pass runs on the
+graph without its degree-1 nodes, each core node weighted by one plus its
+number of leaves; the leaves' values follow exactly from their parents'.
+Every node needs an average path length, so a disconnected graph is
+rejected, naming a pair of nodes with no path between them. Core sources
+run in blocks of 512 on forked worker processes, so exact values stay
+tractable at 10^4 nodes.
 """
 
 from __future__ import annotations
@@ -118,8 +121,9 @@ def degree_assortativity(graph: Graph) -> float:
 # ---------------------------------------------------------------------------
 # Brandes accumulation, one vectorized BFS per source, over fixed source blocks
 
-# Sources per block. The layout depends only on n, and block results are
-# summed in block order, so the output bytes do not depend on the worker count.
+# Core sources per block. The layout depends only on the core size, and block
+# results are summed in block order, so the output bytes do not depend on the
+# worker count.
 SOURCE_BLOCK = 512
 
 
@@ -127,45 +131,89 @@ def _brandes_all_sources(graph: Graph):
     """Returns (raw betweenness, per-node distance sums).
 
     raw[i] accumulates the Brandes dependency of every source on i, i.e. each
-    unordered pair is counted twice. dist_sums[i] is sum_j d(i, j). A
-    disconnected graph raises, naming a pair (source, node) with no
-    connecting path.
+    unordered pair is counted twice. dist_sums[i] is sum_j d(i, j), an
+    integer. A disconnected graph raises, naming a pair (source, node) with
+    no connecting path.
 
-    Blocks of SOURCE_BLOCK sources run on forked worker processes, as many
-    as the NETSOM_THREADS cap allows; the workers inherit the graph through
-    the fork rather than a pickle. A graph of one block runs in this process.
+    The pass runs on the leaf-pruned core (Baglioni et al. 2012; Sariyuce et
+    al. 2013): core node v stands for itself and its ell(v) leaves, with
+    weight omega(v) = 1 + ell(v), and Lambda leaves are pruned in all. A
+    leaf is on no path between two other nodes, and its paths all run
+    through its parent p, so the n-node values are exact:
+
+    - core v: dist_sum(v) = sum_t omega(t) d(v, t) + Lambda, and
+      raw(v) = sum_{s != v} omega(s) delta_s(v) + ell(v)(n - 2), where
+      delta_s weighs target t by omega(t) and starts at ell(v), which adds
+      the pairs from the nodes of s to the leaves of v; ell(v)(n - 2) adds
+      the pairs from a leaf of v to every node but v and itself;
+    - leaf u: dist_sum(u) = dist_sum(p) + n - 2, and raw(u) = 0.
+
+    Blocks of SOURCE_BLOCK core sources run on forked worker processes, as
+    many as the NETSOM_THREADS cap allows; the workers inherit the core
+    through the fork rather than a pickle. A core of one block runs in this
+    process.
     """
-    starts = range(0, graph.n, SOURCE_BLOCK)
+    core, ids, ell, rep, is_leaf = _leaf_core(graph)
+    starts = range(0, core.n, SOURCE_BLOCK)
     workers = worker_count(len(starts))
     if workers == 1:
-        parts = [_brandes_block(graph, lo) for lo in starts]
+        parts = [_brandes_block(core, ell, ids, lo) for lo in starts]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit,
-                                 initargs=(graph,)) as pool:
+                                 initargs=(core, ell, ids)) as pool:
             parts = list(pool.map(_inherited_block, starts))
-    raw = sum(part for part, _ in parts)  # in block order
-    return raw, np.concatenate([sums for _, sums in parts])
+    n = graph.n
+    raw = np.zeros(n)
+    raw[ids] = sum(part for part, _ in parts) + ell * (n - 2)  # in block order
+    sums = np.concatenate([sums for _, sums in parts]) + ell.sum()
+    return raw, sums[rep] + (n - 2) * is_leaf
 
 
-# the graph in a forked block worker, set by _inherit
-_inherited: Graph | None = None
+def _leaf_core(graph: Graph):
+    """The graph without its leaves: (core, ids, ell, rep, is_leaf).
+
+    A leaf is a degree-1 node whose neighbor, its parent, has degree >= 2.
+    A K2 component and isolated nodes stay, so the core is connected exactly
+    when the graph is. Core ids keep the original order, so CSR rows stay
+    sorted: ids[c] is core node c's original id and ell[c] its number of
+    leaves; rep[i] is the core id of node i, or of its parent for a leaf.
+    """
+    deg = graph.degrees
+    ones = np.flatnonzero(deg == 1)
+    is_leaf = np.zeros(graph.n, dtype=bool)
+    is_leaf[ones[deg[graph.indices[graph.indptr[ones]]] > 1]] = True
+    ids = np.flatnonzero(~is_leaf)
+    rep = np.cumsum(~is_leaf) - 1
+    rep[is_leaf] = rep[graph.indices[graph.indptr[:-1][is_leaf]]]
+    ell = np.bincount(rep[is_leaf], minlength=ids.size)
+    src, dst = graph.directed_edges()
+    keep = ~(is_leaf[src] | is_leaf[dst])
+    indptr = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rep[src[keep]], minlength=ids.size), out=indptr[1:])
+    return Graph(ids.size, indptr, rep[dst[keep]]), ids, ell, rep, is_leaf
 
 
-def _inherit(graph: Graph) -> None:
+# the (core, ell, ids) of a forked block worker, set by _inherit
+_inherited: tuple = ()
+
+
+def _inherit(*core) -> None:
     global _inherited
-    _inherited = graph
+    _inherited = core
 
 
 def _inherited_block(lo: int):
-    return _brandes_block(_inherited, lo)
+    return _brandes_block(*_inherited, lo)
 
 
-def _brandes_block(graph: Graph, lo: int):
-    """Raw betweenness summed over sources lo..lo+SOURCE_BLOCK-1, and those
-    sources' distance sums.
+def _brandes_block(core: Graph, ell: np.ndarray, ids: np.ndarray, lo: int):
+    """Weighted raw betweenness of the core summed over core sources
+    lo..lo+SOURCE_BLOCK-1, and those sources' weighted distance sums less
+    Lambda (see :func:`_brandes_all_sources`); ``ids`` names the nodes of
+    the disconnected-graph error in original ids.
 
     Each BFS level is scanned from the cheaper side (Beamer et al. 2012):
     top-down gathers the frontier's rows and keeps undiscovered neighbors;
@@ -175,15 +223,23 @@ def _brandes_block(graph: Graph, lo: int):
     each child's parents ascending and each parent's children ascending
     (CSR rows are sorted, frontiers ascending), so the order-dependent
     bincount sums, and the output bits, do not depend on the direction.
+
+    The leaves cost no per-level work: delta starts at ell and the
+    recursion's (1 + delta[child]) stays, so each child w contributes
+    omega(w) + delta_s(w). The distance sum adds ell(t) d(s, t) over the
+    leaves' parents only, and delta is scaled by omega(s) only for a source
+    with leaves.
     """
-    n = graph.n
-    indptr = graph.indptr.astype(np.int64)
-    indices = graph.indices.astype(np.int64)
-    deg = graph.degrees
+    n = core.n
+    indptr = core.indptr.astype(np.int64)
+    indices = core.indices.astype(np.int64)
+    deg = core.degrees
     sources = range(lo, min(lo + SOURCE_BLOCK, n))
+    hubs = np.flatnonzero(ell)
+    hub_leaves = ell[hubs]
 
     raw = np.zeros(n)
-    dist_sums = np.zeros(len(sources))
+    dist_sums = np.zeros(len(sources), dtype=np.int64)
 
     dist = np.empty(n, dtype=np.int32)
     sigma = np.empty(n)
@@ -221,7 +277,7 @@ def _brandes_block(graph: Graph, lo: int):
             if children.size == 0:
                 missing = np.flatnonzero(dist < 0)
                 raise ValueError(f"graph is disconnected: no path between "
-                                 f"nodes {s} and {missing[0]}")
+                                 f"nodes {ids[s]} and {ids[missing[0]]}")
             add = np.bincount(children, weights=sigma[parents], minlength=n)
             sigma += add
             levels.append((parents, children))
@@ -232,15 +288,18 @@ def _brandes_block(graph: Graph, lo: int):
             left -= frontier.size
             left_deg -= frontier_deg
 
-        dist_sums[s - lo] = dist.sum(dtype=np.int64)
+        dist_sums[s - lo] = (dist.sum(dtype=np.int64)
+                             + (hub_leaves * dist[hubs]).sum())
 
         # backward: dependency accumulation from the deepest level inward
-        delta.fill(0.0)
+        np.copyto(delta, ell)
         for parents, children in reversed(levels):
             coeff = (1.0 + delta[children]) / sigma[children]
             delta += np.bincount(parents, weights=sigma[parents] * coeff,
                                  minlength=n)
         delta[s] = 0.0
+        if ell[s]:
+            delta *= 1 + ell[s]  # s and each of its leaves as source
         raw += delta
 
     return raw, dist_sums

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import nonnegative_int, parse_row
+from .graph import finite_float, nonnegative_int, parse_row
 
 
 @dataclass
@@ -84,7 +84,7 @@ def read_trace_csv(path: str | Path) -> SimTrace:
             raise ValueError(f"{path}: unexpected trace header {header}")
         time_label = header[0]
         state_names = tuple(header[3:])
-        types = (float,) + (nonnegative_int,) * (2 + len(state_names))
+        types = (finite_float,) + (nonnegative_int,) * (2 + len(state_names))
         rows = []
         for r in filter(None, reader):
             rows.append(parse_row(path, reader, r, header, types))

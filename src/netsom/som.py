@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .graph import nonnegative_int, parse_row, read_node_csv
+from .graph import finite_float, nonnegative_int, parse_row, read_node_csv
 
 SIGMA_END = 0.5       # end radius; the start radius is max(width, height)/2
 _SOM = DEFAULT_CONFIG["som"]
@@ -282,9 +282,9 @@ def read_cell_stats_csv(path: str | Path) -> CellStats:
             raise ValueError(f"{path}: unexpected cell-stats header {header}")
         names = tuple(h.removeprefix("mean_") for h in header[3:])
         # an empty cell (count 0) may leave its means blank; any other cell
-        # needs numbers
+        # needs finite numbers
         cell = (nonnegative_int,) * 3
-        filled = cell + (float,) * len(names)
+        filled = cell + (finite_float,) * len(names)
         empty = cell + (_float_or_blank,) * len(names)
         rows = [parse_row(path, reader, r, header,
                           empty if r[2:3] == ["0"] else filled)

@@ -15,6 +15,11 @@ from oracles import (avg_neighbor_degree_bruteforce, avg_path_length_bruteforce,
 K3 = build_graph(3, [(0, 1), (1, 2), (0, 2)])
 P3 = build_graph(3, [(0, 1), (1, 2)])
 STAR4 = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])  # center 0, 4 leaves
+DOUBLE_STAR = build_graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
+P5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+# spine 0-1-2-3, leaves on 0, 1 and 3
+CATERPILLAR = build_graph(10, [(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (1, 6),
+                               (3, 7), (3, 8), (3, 9)])
 
 
 class TestAvgNeighborDegree:
@@ -121,6 +126,50 @@ class TestClustering:
                                        clustering_bruteforce(g), atol=1e-12)
 
 
+def _with_leaves(graph, rng, leaves):
+    """``graph`` plus ``leaves`` new nodes, each attached to a random earlier
+    node, so some hang off others as pendant paths."""
+    e = graph.edge_array().tolist()
+    e += [(int(rng.integers(u)), u) for u in range(graph.n, graph.n + leaves)]
+    return build_graph(graph.n + leaves, e)
+
+
+class TestLeafPruning:
+    """Degree-1 nodes leave the Brandes pass and come back through their
+    parent's weight; distance sums stay integers, so L is exact."""
+
+    @staticmethod
+    def check(g):
+        f = compute_all(g)
+        assert np.array_equal(f.L, avg_path_length_bruteforce(g))
+        np.testing.assert_allclose(f.b, betweenness_bruteforce(g), rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("g, core_size", [
+        (STAR4, 1), (DOUBLE_STAR, 2), (P5, 3), (CATERPILLAR, 4)],
+        ids=["star", "double_star", "P5", "caterpillar"])
+    def test_small_cores(self, g, core_size):
+        assert metrics._leaf_core(g)[0].n == core_size
+        self.check(g)
+
+    def test_random_graphs_with_leaves(self):
+        rng = np.random.default_rng(88)
+        for _ in range(25):
+            core = random_connected_graph(rng, int(rng.integers(3, 9)))
+            g = _with_leaves(core, rng, int(rng.integers(1, 7)))
+            self.check(g)
+
+    @pytest.mark.parametrize("edges, n, pair", [
+        ([(0, 1), (2, 3), (3, 4), (2, 4)], 5, (0, 2)),
+        ([(0, 1), (0, 2), (0, 3), (0, 4)], 6, (0, 5)),
+        ([(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (4, 6)], 7, (1, 4)),
+    ], ids=["K2_beside_triangle", "star_and_isolated_node", "star_of_leaf_0"])
+    def test_disconnected_raises_with_original_ids(self, edges, n, pair):
+        with pytest.raises(ValueError, match="no path between") as exc:
+            compute_all(build_graph(n, edges))
+        assert str(exc.value).endswith(f"nodes {pair[0]} and {pair[1]}")
+
+
 class TestComputeAll:
     def test_k3_rows(self):
         f = compute_all(K3)
@@ -158,15 +207,16 @@ class TestComputeAll:
             assert np.array_equal(getattr(f, name), getattr(f2, name)), name
 
     def test_one_block_cnn_bytes_pinned(self, tmp_path):
-        """A one-block CNN graph with leaves and long BFS tails; the scan goes
-        bottom-up on most of its levels. The sha256 is the features file
-        of the plain top-down scan, which it must keep bit for bit."""
+        """A one-block CNN graph with leaves and long BFS tails. The leaves
+        are pruned, and the scan of the weighted core goes bottom-up on most
+        of its levels. The sha256 is the features file of the plain top-down
+        scan of that core, which it must keep bit for bit."""
         g = generate_cnn(500, u=0.75, seed=2)
         assert g.n <= metrics.SOURCE_BLOCK and (g.degrees == 1).any()
         path = tmp_path / "features.csv"
         write_features_csv(compute_all(g), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "1250b2c03f4b267e2bcf289192229595e4f7cb9fae8e3091d296c43ac52cef86")
+            "7f26e5e271140b1e0208c406baffc287a9043f649be95b3d0ef6e08409685d75")
 
     def test_csv_header(self, tmp_path):
         f = compute_all(K3)
@@ -221,8 +271,8 @@ class TestSourceBlocks:
         assert not live_descendants()
         assert files[0].read_bytes() == files[1].read_bytes()
 
-    def test_disconnected_error_same_for_any_worker_count(self, monkeypatch):
-        g = _two_copies(generate_hk(150, m=3, p_t=0.5, seed=4))
+    @staticmethod
+    def disconnected_messages(g, monkeypatch):
         messages = []
         for threads in ("1", "2"):
             monkeypatch.setenv("NETSOM_THREADS", threads)
@@ -230,7 +280,19 @@ class TestSourceBlocks:
                 compute_all(g)
             assert not live_descendants()
             messages.append(str(exc.value))
-        assert messages == ["graph is disconnected: no path between nodes 0 and 150"] * 2
+        return messages
+
+    def test_disconnected_error_same_for_any_worker_count(self, monkeypatch):
+        g = _two_copies(generate_hk(150, m=3, p_t=0.5, seed=4))
+        assert self.disconnected_messages(g, monkeypatch) == [
+            "graph is disconnected: no path between nodes 0 and 150"] * 2
+
+    def test_disconnected_error_names_original_ids(self, monkeypatch):
+        # the leaf-pruned core renumbers the nodes; the error must not
+        g = _two_copies(generate_cnn(150, u=0.75, seed=4))
+        assert (g.degrees == 1).any()
+        assert self.disconnected_messages(g, monkeypatch) == [
+            "graph is disconnected: no path between nodes 0 and 150"] * 2
 
 
 class TestNetworkxOracle:

@@ -282,7 +282,8 @@ class TestCli:
         assert f"{cells}:3:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["0,0,0,5", "0,0,0,5,x,0", "0,0,0,5,0,0,1",
-                                     "0,-1,0,7,0,0", "-1,0,0,5,0,0"])
+                                     "0,-1,0,7,0,0", "-1,0,0,5,0,0",
+                                     "nan,0,0,4,1,0"])
     def test_malformed_trace_row_exit_3(self, tmp_path, capsys, row):
         trace = tmp_path / "bad.csv"
         trace.write_text(f"t,X,Y,S,I,R\n0,0,0,5,0,0\n{row}\n")
@@ -295,6 +296,16 @@ class TestCli:
         cells = tmp_path / "neg.cells.csv"
         cells.write_text("X,Y,count,mean_k,mean_k_nn,mean_b,mean_L,mean_C\n"
                          "0,0,1,4,5,0.1,3,0.2\n0,-1,9,4,5,0.1,3,0.2\n")
+        assert main(["render", "heatmap", str(cells),
+                     "-o", str(tmp_path / "hm.svg")]) == 3
+        assert f"{cells}:3:" in capsys.readouterr().err
+        assert not (tmp_path / "hm.svg").exists()
+
+    @pytest.mark.parametrize("mean", ["nan", "inf"])
+    def test_non_finite_cells_mean_exit_3(self, tmp_path, capsys, mean):
+        cells = tmp_path / "nan.cells.csv"
+        cells.write_text("X,Y,count,mean_k,mean_k_nn,mean_b,mean_L,mean_C\n"
+                         f"0,0,1,4,5,0.1,3,0.2\n1,0,1,4,{mean},0.1,3,0.2\n")
         assert main(["render", "heatmap", str(cells),
                      "-o", str(tmp_path / "hm.svg")]) == 3
         assert f"{cells}:3:" in capsys.readouterr().err
