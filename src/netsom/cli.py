@@ -33,18 +33,23 @@ def _parse_times(text: str) -> list[float]:
     return times
 
 
-def _parse_runs(text: str) -> int:
-    try:
-        runs = int(text)
-    except ValueError:
-        runs = 0
-    if runs < 1:
-        raise argparse.ArgumentTypeError(f"runs must be an integer >= 1, got {text!r}")
-    return runs
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer >= ``low``, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     seed = DEFAULT_CONFIG["seed"]
+    seed_type = _int_at_least(0, "seed")
     gen, som = DEFAULT_CONFIG["generate"], DEFAULT_CONFIG["som"]
     radius = DEFAULT_CONFIG["render"]["radius_mode"]
     parser = argparse.ArgumentParser(
@@ -60,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=gen["m"], help="edges per arriving node (hk)")
     p.add_argument("--pt", type=float, default=gen["p_t"], help="triad-formation probability (hk)")
     p.add_argument("--u", type=float, default=gen["u"], help="conversion probability (cnn)")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=seed_type, default=seed)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("metrics", help="compute per-node features to CSV")
@@ -72,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid,
                    default=(som["width"], som["height"]), metavar="WxH")
     p.add_argument("--epochs", type=int, default=som["epochs"])
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=seed_type, default=seed)
     p.add_argument("--log-features", default="",
                    help="comma-separated feature names to log10(1+x)-scale first")
     p.add_argument("-o", "--out-prefix", default=None)
@@ -93,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                 flags.append("--temptation")
             ps.add_argument(*flags, dest=key, type=type(value), default=value,
                             choices=("min_id", "random") if key == "tie" else None)
-        ps.add_argument("--seed", type=int, default=seed)
+        ps.add_argument("--seed", type=seed_type, default=seed)
         ps.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("render", help="render SVG figures from CSV artifacts")
@@ -118,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline from a JSON config")
     p.add_argument("config")
     p.add_argument("-o", "--outdir", default=None)
-    p.add_argument("--runs", type=_parse_runs, default=1,
+    p.add_argument("--runs", type=_int_at_least(1, "runs"), default=1,
                    help="ensemble of independent seeded runs (NETSOM_THREADS caps workers)")
 
     return parser
@@ -195,8 +200,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         try:
             config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ConfigError(f"config {args.config} must be a JSON object")
         outdir = args.outdir or config.get("outdir") or "netsom_report"
         if args.runs > 1:
             pipeline.run_ensemble(config, outdir, args.runs)

@@ -1,6 +1,6 @@
 """The one table of defaults, read by the config, the stage and model
-functions and the CLI, and the one cap on worker processes; it imports
-nothing from netsom, so any module can."""
+functions and the CLI; the one cap on worker processes and the one worker
+pool, :func:`fork_map`. It imports nothing from netsom, so any module can."""
 
 from __future__ import annotations
 
@@ -51,6 +51,8 @@ def resolve_config(config: dict) -> dict:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     resolved = {"seed": config.get("seed", DEFAULT_CONFIG["seed"])}
     _check("seed", resolved["seed"], DEFAULT_CONFIG["seed"])
+    if resolved["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {resolved['seed']!r}")
     for section in ("generate", "som", "sir", "spd", "render"):
         user = config.get(section, {})
         if user is False:
@@ -88,3 +90,35 @@ def thread_cap() -> int:
 def worker_count(jobs: int) -> int:
     """Workers for ``jobs`` independent jobs under the cap (at least 1)."""
     return max(1, min(jobs, thread_cap()))
+
+
+def fork_map(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``, in this process when the cap allows one
+    worker, else on forked workers that inherit ``fn`` and ``jobs``: only an
+    index is pickled down and a result back. Each worker's NETSOM_THREADS is
+    its share of the cap, so a pool that a job starts stays within it."""
+    workers = worker_count(len(jobs))
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    import multiprocessing  # here, so that importing netsom does not pay for
+    from concurrent import futures  # a pool a one-worker run never starts
+    share = max(1, thread_cap() // workers)
+    fork = multiprocessing.get_context("fork")
+    with futures.ProcessPoolExecutor(workers, mp_context=fork, initializer=_forked,
+                                     initargs=(fn, jobs, share)) as pool:
+        return list(pool.map(_run_forked, range(len(jobs))))
+
+
+# a forked worker's (fn, jobs), set by _forked
+_work: tuple = ()
+
+
+def _forked(fn, jobs: list, threads: int) -> None:
+    global _work
+    _work = (fn, jobs)
+    os.environ["NETSOM_THREADS"] = str(threads)
+
+
+def _run_forked(i: int):
+    fn, jobs = _work
+    return fn(jobs[i])

@@ -43,16 +43,12 @@ def generate_hk(n: int, m: int = _GEN["m"], p_t: float = _GEN["p_t"],
         raise ValueError("p_t must lie in [0, 1]")
     rng = np.random.default_rng(seed)
 
-    adj_sets: list[set[int]] = [set() for _ in range(n)]
-    adj_lists: list[list[int]] = [[] for _ in range(n)]
+    adj: list[dict[int, None]] = [{} for _ in range(n)]  # ordered neighbor sets
     edges: list[tuple[int, int]] = []
     stubs: list[int] = []  # one entry per unit of degree; PA = uniform draw
 
     def link(a: int, b: int) -> None:
-        adj_sets[a].add(b)
-        adj_sets[b].add(a)
-        adj_lists[a].append(b)
-        adj_lists[b].append(a)
+        adj[a][b] = adj[b][a] = None
         edges.append((a, b))
         stubs.append(a)
         stubs.append(b)
@@ -63,11 +59,11 @@ def generate_hk(n: int, m: int = _GEN["m"], p_t: float = _GEN["p_t"],
 
     for v in range(m + 1, n):
         prev: int | None = None
-        linked = adj_sets[v]
+        linked = adj[v]
         for _ in range(m):
             target: int | None = None
             if prev is not None and rng.random() < p_t:
-                cands = [w for w in adj_lists[prev] if w != v and w not in linked]
+                cands = [w for w in adj[prev] if w != v and w not in linked]
                 if cands:
                     target = cands[rng.integers(len(cands))]
             if target is None:
@@ -111,18 +107,14 @@ def _grow_cnn(n: int, u: float,
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie strictly inside (0, 1)")
 
-    adj_sets: list[set[int]] = [set() for _ in range(n)]
-    adj_lists: list[list[int]] = [[] for _ in range(n)]
+    adj: list[dict[int, None]] = [{} for _ in range(n)]  # ordered neighbor sets
     edges: list[tuple[int, int]] = []
     potential: list[tuple[int, int]] = []
     conversions = 0
     nodes = 1
 
     def link(a: int, b: int) -> None:
-        adj_sets[a].add(b)
-        adj_sets[b].add(a)
-        adj_lists[a].append(b)
-        adj_lists[b].append(a)
+        adj[a][b] = adj[b][a] = None
         edges.append((a, b))
 
     while nodes < n:
@@ -134,7 +126,7 @@ def _grow_cnn(n: int, u: float,
             potential[i] = potential[-1]  # swap-pop keeps selection O(1)
             potential.pop()
             a, b = pair
-            if b not in adj_sets[a]:
+            if b not in adj[a]:
                 link(a, b)
                 conversions += 1
         else:
@@ -142,7 +134,7 @@ def _grow_cnn(n: int, u: float,
             t = int(rng.integers(nodes))
             # potential links pair the newcomer with the target's current
             # neighborhood, captured before the new edge exists
-            potential.extend((w, x) for x in adj_lists[t])
+            potential.extend((w, x) for x in adj[t])
             link(w, t)
             nodes += 1
 

@@ -1,10 +1,11 @@
 """Undirected simple graphs with sorted CSR adjacency, edge-list file I/O,
-and the CSV row parser shared by the per-node, cell and trace files."""
+and the one CSV reader, lattice index and file writer of every artifact."""
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 from pathlib import Path
 from typing import Iterable
@@ -101,11 +102,13 @@ def build_graph(node_count: int, edges: Iterable[tuple[int, int]] | np.ndarray) 
     """Build a Graph from unordered id pairs.
 
     Duplicate edges (in either orientation) collapse to a single edge.
-    Self-loops and out-of-range ids raise ValueError.
+    Self-loops, out-of-range ids and a node count beyond the int32 range of
+    ``Graph.indices`` raise ValueError.
     """
     n = int(node_count)
-    if n < 0:
-        raise ValueError("node_count must be nonnegative")
+    if not 0 <= n < 2**31:
+        raise ValueError(f"node count {n} is outside the int32 range of the "
+                         f"adjacency")
     e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
     if e.size == 0:
         e = e.reshape(0, 2)
@@ -134,35 +137,40 @@ def load_edge_list(path: str | Path) -> Graph:
     path = Path(path)
     header_n: int | None = None
     pairs: list[tuple[int, int]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _HEADER_RE.match(line)
-                if m:
-                    header_n = int(m.group(1))
-                continue
-            toks = line.split()
-            if len(toks) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer token in {line!r}") from None
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}:{lineno}: negative node id in {line!r}")
-            if header_n is not None and max(u, v) >= header_n:
-                raise ValueError(f"{path}:{lineno}: node id out of range "
-                                 f"[0, {header_n}) in {line!r}")
-            pairs.append((u, v))
+    for lineno, raw in enumerate(_utf8_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _HEADER_RE.match(line)
+            if m:
+                try:
+                    header_n = nonnegative_int(m.group(1))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: node count {m.group(1)} "
+                                     f"is beyond the int32 range") from None
+            continue
+        toks = line.split()
+        if len(toks) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer token in {line!r}") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"{path}:{lineno}: negative node id in {line!r}")
+        if u == v:
+            raise ValueError(f"{path}:{lineno}: self-loop on node {u} is not allowed")
+        if header_n is not None and max(u, v) >= header_n:
+            raise ValueError(f"{path}:{lineno}: node id out of range "
+                             f"[0, {header_n}) in {line!r}")
+        pairs.append((u, v))
     if not pairs and header_n is None:
         raise ValueError(f"{path}: empty edge list with no '# nodes: N' header")
     n = header_n if header_n is not None else 1 + max(max(u, v) for u, v in pairs)
     try:
         return build_graph(n, pairs)
-    except ValueError as exc:  # a self-loop, or a header placed after its edges
+    except ValueError as exc:  # an id above a later header, or beyond int32
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -170,7 +178,80 @@ def save_edge_list(graph: Graph, path: str | Path) -> None:
     """Write the canonical edge-list form: node-count header, one "u v" per line."""
     lines = [f"# nodes: {graph.n}\n"]
     lines.extend(f"{u} {v}\n" for u, v in graph.edge_array())
-    Path(path).write_bytes("".join(lines).encode("utf-8"))
+    write_text(path, "".join(lines))
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """``text`` as UTF-8 with LF line endings, through a temporary file in
+    the same directory that replaces ``path`` in one rename: a failed write
+    leaves the previous file as it was, and no temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_csv(path: str | Path, header_ok, types) -> tuple[list[str], list[tuple], list[int]]:
+    """(header, rows, their line numbers) of a UTF-8 CSV whose header
+    ``header_ok`` accepts, each non-blank row parsed with ``types(header,
+    row)``, one callable per field. Malformed input, or no rows, raises
+    ValueError naming the file, and the line where one applies."""
+    reader = csv.reader(_utf8_lines(path))
+    rows, lines = [], []
+    try:
+        header = next(reader, [])
+        if not header_ok(header):
+            raise ValueError(f"{path}: unexpected header {header}")
+        for row in filter(None, reader):
+            fields = types(header, row)
+            try:
+                if len(row) != len(fields):
+                    raise ValueError
+                rows.append(tuple(t(v) for t, v in zip(fields, row)))
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{','.join(header)}, got {row}") from None
+            lines.append(reader.line_num)
+    except csv.Error as exc:  # a field beyond the csv module's size limit
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no rows after the header")
+    return header, rows, lines
+
+
+def _utf8_lines(path: str | Path):
+    """The lines of a text file read as UTF-8; other bytes raise ValueError
+    naming the file."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
+
+
+def lattice(path: str | Path, cells: list[tuple],
+            lines: list[int]) -> tuple[int, int, np.ndarray]:
+    """(1 + largest X, 1 + largest Y, each row's Y*width + X) of a table
+    whose rows, read at ``lines``, hold (key..., X, Y) in ``cells`` and list
+    every cell once per key (a trace's key is the time). A repeat names its
+    line; a wrong row count raises before the lattice is allocated."""
+    width = 1 + max(cell[-2] for cell in cells)
+    height = 1 + max(cell[-1] for cell in cells)
+    seen = set()
+    for cell, line in zip(cells, lines):
+        if cell in seen:
+            raise ValueError(f"{path}:{line}: cell ({cell[-2]}, {cell[-1]}) "
+                             f"is listed twice")
+        seen.add(cell)
+    if len(cells) != len({cell[:-2] for cell in cells}) * width * height:
+        raise ValueError(f"{path}: {len(cells)} rows do not list each cell of "
+                         f"a {width}x{height} lattice once")
+    return width, height, np.array([y * width + x for *_, x, y in cells])
 
 
 def read_node_csv(path: str | Path, header: tuple[str, ...],
@@ -178,13 +259,8 @@ def read_node_csv(path: str | Path, header: tuple[str, ...],
     """Rows of a CSV keyed by node id in its first column, parsed with
     ``types`` and sorted by id; the ids must run 0..n-1. Malformed input
     raises ValueError naming the file, and the line where one applies."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, [])
-        if got != list(header):
-            raise ValueError(f"{path}: unexpected header {got}")
-        rows = [parse_row(path, reader, row, header, types)
-                for row in filter(None, reader)]
+    _, rows, _ = read_csv(path, lambda got: got == list(header),
+                          lambda _header, _row: types)
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: node ids are not contiguous from 0")
@@ -192,9 +268,10 @@ def read_node_csv(path: str | Path, header: tuple[str, ...],
 
 
 def nonnegative_int(field: str) -> int:
-    """A cell coordinate or agent count: an int >= 0, else ValueError."""
+    """A node id, degree, cell coordinate or agent count: an int in
+    [0, 2**31), the int32 range of ``Graph.indices``, else ValueError."""
     value = int(field)
-    if value < 0:
+    if not 0 <= value < 2**31:
         raise ValueError(field)
     return value
 
@@ -206,15 +283,3 @@ def finite_float(field: str) -> float:
         raise ValueError(field)
     return value
 
-
-def parse_row(path: str | Path, reader, row: list[str], header, types) -> tuple:
-    """``row``, the last one ``reader`` returned, parsed with ``types``. A row
-    of another length, or with a field that does not parse, raises ValueError
-    naming ``path:line``."""
-    try:
-        if len(row) != len(types):
-            raise ValueError
-        return tuple(t(v) for t, v in zip(types, row))
-    except ValueError:
-        raise ValueError(f"{path}:{reader.line_num}: expected "
-                         f"{','.join(header)}, got {row}") from None

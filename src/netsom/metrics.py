@@ -16,12 +16,14 @@ tractable at 10^4 nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .config import worker_count
-from .graph import Graph, finite_float, gather_rows, read_node_csv
+from .config import fork_map
+from .graph import (Graph, finite_float, gather_rows, nonnegative_int,
+                    read_node_csv, write_text)
 
 FEATURE_NAMES = ("k", "k_nn", "b", "L", "C")
 
@@ -148,23 +150,13 @@ def _brandes_all_sources(graph: Graph):
       the pairs from a leaf of v to every node but v and itself;
     - leaf u: dist_sum(u) = dist_sum(p) + n - 2, and raw(u) = 0.
 
-    Blocks of SOURCE_BLOCK core sources run on forked worker processes, as
-    many as the NETSOM_THREADS cap allows; the workers inherit the core
-    through the fork rather than a pickle. A core of one block runs in this
-    process.
+    Blocks of SOURCE_BLOCK core sources run through :func:`fork_map`, on as
+    many forked workers as the NETSOM_THREADS cap allows; the workers
+    inherit the core through the fork rather than a pickle.
     """
     core, ids, ell, rep, is_leaf = _leaf_core(graph)
-    starts = range(0, core.n, SOURCE_BLOCK)
-    workers = worker_count(len(starts))
-    if workers == 1:
-        parts = [_brandes_block(core, ell, ids, lo) for lo in starts]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit,
-                                 initargs=(core, ell, ids)) as pool:
-            parts = list(pool.map(_inherited_block, starts))
+    parts = fork_map(partial(_brandes_block, core, ell, ids),
+                     range(0, core.n, SOURCE_BLOCK))
     n = graph.n
     raw = np.zeros(n)
     raw[ids] = sum(part for part, _ in parts) + ell * (n - 2)  # in block order
@@ -194,19 +186,6 @@ def _leaf_core(graph: Graph):
     indptr = np.zeros(ids.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(rep[src[keep]], minlength=ids.size), out=indptr[1:])
     return Graph(ids.size, indptr, rep[dst[keep]]), ids, ell, rep, is_leaf
-
-
-# the (core, ell, ids) of a forked block worker, set by _inherit
-_inherited: tuple = ()
-
-
-def _inherit(*core) -> None:
-    global _inherited
-    _inherited = core
-
-
-def _inherited_block(lo: int):
-    return _brandes_block(*_inherited, lo)
 
 
 def _brandes_block(core: Graph, ell: np.ndarray, ids: np.ndarray, lo: int):
@@ -310,16 +289,14 @@ def _brandes_block(core: Graph, ell: np.ndarray, ids: np.ndarray, lo: int):
 
 
 def write_features_csv(features: NodeFeatures, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,k,k_nn,b,L,C\n")
-        for i in range(features.n):
-            fh.write(f"{i},{int(features.k[i])},{features.k_nn[i]:.17g},"
-                     f"{features.b[i]:.17g},{features.L[i]:.17g},"
-                     f"{features.C[i]:.17g}\n")
+    rows = [f"{i},{int(features.k[i])},{features.k_nn[i]:.17g},"
+            f"{features.b[i]:.17g},{features.L[i]:.17g},{features.C[i]:.17g}\n"
+            for i in range(features.n)]
+    write_text(path, "node,k,k_nn,b,L,C\n" + "".join(rows))
 
 
 def read_features_csv(path: str | Path) -> NodeFeatures:
     rows = read_node_csv(path, ("node",) + FEATURE_NAMES,
-                         (int, int) + (finite_float,) * 4)
-    _, k, *floats = np.array(rows, dtype=np.float64).reshape(-1, 6).T.copy()
+                         (nonnegative_int,) * 2 + (finite_float,) * 4)
+    _, k, *floats = np.array(rows, dtype=np.float64).T.copy()
     return NodeFeatures(k.astype(np.int64), *floats)

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import (ConfigError, DEFAULT_CONFIG, resolve_config,  # noqa: F401 - re-exported
-                     thread_cap, worker_count)
+                     fork_map, thread_cap, worker_count)
 from .generators import generate_cnn, generate_hk
-from .graph import Graph, load_edge_list, save_edge_list
+from .graph import Graph, load_edge_list, save_edge_list, write_text
 from .metrics import (FEATURE_NAMES, NodeFeatures, compute_all,
                       read_features_csv, write_features_csv)
 from .render import render_heatmaps, render_pie_lattice, render_timeline
@@ -74,7 +73,7 @@ def _write_meta(artifact: Path, stage: str, params: dict,
     if result is not None:
         doc["result"] = result
     meta_path = artifact.with_name(artifact.name + ".meta.json")
-    meta_path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(meta_path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def check_fresh(path: str | Path) -> Path:
@@ -253,9 +252,8 @@ def stage_render_timeline(trace_path: str | Path, out_path: str | Path,
 def _write_svg(out_path: str | Path, svg: str, stage: str, params: dict,
                in_path: Path) -> None:
     """Shared tail of the render stages: the figure, then its meta file."""
-    out_path = Path(out_path)
-    out_path.write_text(svg, encoding="utf-8")
-    _write_meta(out_path, stage, params, None, [in_path])
+    write_text(out_path, svg)
+    _write_meta(Path(out_path), stage, params, None, [in_path])
 
 
 def default_timeline_times(trace: SimTrace) -> list[float]:
@@ -281,8 +279,7 @@ def full_run(config: dict, outdir: str | Path, echo=print) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     master = cfg["seed"]
-    (outdir / "config.json").write_text(
-        json.dumps(cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_text(outdir / "config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n")
 
     summary: dict = {"seed": master, "config": cfg, "artifacts": []}
 
@@ -359,8 +356,8 @@ def full_run(config: dict, outdir: str | Path, echo=print) -> dict:
         echo(f"render: {hm.name}")
 
     summary["artifacts"] = sorted(summary["artifacts"])
-    (outdir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_text(outdir / "summary.json",
+               json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
 
 
@@ -370,29 +367,16 @@ def run_ensemble(config: dict, outdir: str | Path, runs: int,
 
     Run i derives its master seed from the config seed and i, so ensembles
     are reproducible and order-independent. NETSOM_THREADS caps the worker
-    processes; parallel runs split the cap between their metrics stages.
+    processes; parallel runs split the cap between their metrics stages,
+    run quietly, and are reported one line each once all are done.
     """
     cfg = resolve_config(config)
-    outdir = Path(outdir)
-    workers = worker_count(runs)
-    jobs = []
-    for i in range(runs):
-        sub = dict(config)
-        sub["seed"] = derive_seed(cfg["seed"], 9, i)
-        jobs.append((sub, outdir / f"run_{i:03d}"))
-    if workers <= 1:
-        return [full_run(sub, path, echo=echo) for sub, path in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-    share = max(1, thread_cap() // workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_quiet_full_run, sub, str(path), share)
-                   for sub, path in jobs]
-        results = [f.result() for f in futures]
-    for i, r in enumerate(results):
-        echo(f"run_{i:03d}: done (seed {r['seed']})")
+    jobs = [({**config, "seed": derive_seed(cfg["seed"], 9, i)},
+             Path(outdir) / f"run_{i:03d}") for i in range(runs)]
+    quiet = worker_count(runs) > 1
+    run_echo = (lambda *_: None) if quiet else echo
+    results = fork_map(lambda job: full_run(*job, echo=run_echo), jobs)
+    if quiet:
+        for i, r in enumerate(results):
+            echo(f"run_{i:03d}: done (seed {r['seed']})")
     return results
-
-
-def _quiet_full_run(config: dict, outdir: str, threads: int) -> dict:
-    os.environ["NETSOM_THREADS"] = str(threads)  # this worker's share of the cap
-    return full_run(config, outdir, echo=lambda *_: None)

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .graph import finite_float, nonnegative_int, parse_row
+from .graph import finite_float, lattice, nonnegative_int, read_csv, write_text
 
 
 @dataclass
@@ -65,41 +63,32 @@ class SimTrace:
 
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
     names = ",".join(trace.state_names)
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{trace.time_label},X,Y,{names}\n")
-        for t, counts in zip(trace.times, trace.counts):
-            ts = str(int(round(t))) if trace.time_label == "round" else f"{t:.10g}"
-            for lin in range(trace.n_cells):
-                x, y = lin % trace.width, lin // trace.width
-                vals = ",".join(str(int(counts[s, lin]))
-                                for s in range(len(trace.state_names)))
-                fh.write(f"{ts},{x},{y},{vals}\n")
+    rows = [f"{trace.time_label},X,Y,{names}\n"]
+    for t, counts in zip(trace.times, trace.counts):
+        ts = str(int(round(t))) if trace.time_label == "round" else f"{t:.10g}"
+        for lin in range(trace.n_cells):
+            x, y = lin % trace.width, lin // trace.width
+            vals = ",".join(str(int(counts[s, lin]))
+                            for s in range(len(trace.state_names)))
+            rows.append(f"{ts},{x},{y},{vals}\n")
+    write_text(path, "".join(rows))
 
 
 def read_trace_csv(path: str | Path) -> SimTrace:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if len(header) < 4 or header[1:3] != ["X", "Y"]:
-            raise ValueError(f"{path}: unexpected trace header {header}")
-        time_label = header[0]
-        state_names = tuple(header[3:])
-        types = (finite_float,) + (nonnegative_int,) * (2 + len(state_names))
-        rows = []
-        for r in filter(None, reader):
-            rows.append(parse_row(path, reader, r, header, types))
-            if len(rows) > 1 and rows[-1][0] < rows[-2][0]:
-                raise ValueError(f"{path}:{reader.line_num}: snapshot times "
-                                 f"must be strictly increasing")
-    if not rows:
-        raise ValueError(f"{path}: empty trace")
-    width = 1 + max(r[1] for r in rows)
-    height = 1 + max(r[2] for r in rows)
-    trace = SimTrace(state_names=state_names, width=width, height=height,
-                     time_label=time_label)
-    for t, block in groupby(rows, key=lambda r: r[0]):  # one snapshot per run of t
-        counts = np.zeros((len(state_names), width * height), dtype=np.int64)
-        for _, x, y, *vals in block:
-            counts[:, y * width + x] = vals
-        trace.append(t, counts)
+    header, rows, lines = read_csv(
+        path, lambda h: len(h) >= 4 and h[1:3] == ["X", "Y"],
+        lambda h, _row: (finite_float,) + (nonnegative_int,) * (len(h) - 1))
+    times = [r[0] for r in rows]
+    for i in range(1, len(rows)):
+        if times[i] < times[i - 1]:
+            raise ValueError(f"{path}:{lines[i]}: snapshot times "
+                             f"must be strictly increasing")
+    width, height, lin = lattice(path, [r[:3] for r in rows], lines)
+    trace = SimTrace(state_names=tuple(header[3:]), width=width, height=height,
+                     time_label=header[0])
+    values = np.array([r[3:] for r in rows], dtype=np.int64)
+    for lo in range(0, len(rows), trace.n_cells):  # one snapshot per block
+        counts = np.zeros((len(trace.state_names), trace.n_cells), dtype=np.int64)
+        counts[:, lin[lo:lo + trace.n_cells]] = values[lo:lo + trace.n_cells].T
+        trace.append(times[lo], counts)
     return trace

@@ -9,7 +9,6 @@ Cells are addressed as (X, Y) with linear index Y*width + X.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .graph import finite_float, nonnegative_int, parse_row, read_node_csv
+from .graph import (finite_float, lattice, nonnegative_int, read_csv,
+                    read_node_csv, write_text)
 
 SIGMA_END = 0.5       # end radius; the start radius is max(width, height)/2
 _SOM = DEFAULT_CONFIG["som"]
@@ -230,7 +230,7 @@ def save_som_json(grid: SomGrid, path: str | Path) -> None:
                         "max": grid.feat_max.tolist()},
         "weights": [row.tolist() for row in grid.weights],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_som_json(path: str | Path) -> SomGrid:
@@ -243,63 +243,50 @@ def load_som_json(path: str | Path) -> SomGrid:
 
 
 def write_assignment_csv(assignment: CellAssignment, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,X,Y\n")
-        for i in range(assignment.n):
-            fh.write(f"{i},{assignment.x[i]},{assignment.y[i]}\n")
+    rows = [f"{i},{assignment.x[i]},{assignment.y[i]}\n"
+            for i in range(assignment.n)]
+    write_text(path, "node,X,Y\n" + "".join(rows))
 
 
 def read_assignment_csv(path: str | Path) -> CellAssignment:
     """The lattice size is inferred as 1 + the largest X and Y."""
-    rows = read_node_csv(path, ("node", "X", "Y"),
-                         (int, nonnegative_int, nonnegative_int))
-    x = np.array([r[1] for r in rows], dtype=np.int64)
-    y = np.array([r[2] for r in rows], dtype=np.int64)
-    return CellAssignment(width=int(x.max()) + 1 if x.size else 1,
-                          height=int(y.max()) + 1 if y.size else 1, x=x, y=y)
+    rows = read_node_csv(path, ("node", "X", "Y"), (nonnegative_int,) * 3)
+    _, x, y = np.array(rows, dtype=np.int64).T.copy()
+    return CellAssignment(width=int(x.max()) + 1, height=int(y.max()) + 1,
+                          x=x, y=y)
 
 
 def write_cell_stats_csv(stats: CellStats, path: str | Path) -> None:
     """One row per cell; empty cells keep blank mean fields."""
     cols = ",".join(f"mean_{name}" for name in stats.feature_names)
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"X,Y,count,{cols}\n")
-        for lin in range(stats.width * stats.height):
-            x, y = lin % stats.width, lin // stats.width
-            if stats.counts[lin] == 0:
-                blanks = "," * len(stats.feature_names)
-                fh.write(f"{x},{y},0{blanks}\n")
-            else:
-                vals = ",".join(f"{v:.17g}" for v in stats.means[lin])
-                fh.write(f"{x},{y},{stats.counts[lin]},{vals}\n")
+    rows = [f"X,Y,count,{cols}\n"]
+    for lin in range(stats.width * stats.height):
+        x, y = lin % stats.width, lin // stats.width
+        if stats.counts[lin] == 0:
+            blanks = "," * len(stats.feature_names)
+            rows.append(f"{x},{y},0{blanks}\n")
+        else:
+            vals = ",".join(f"{v:.17g}" for v in stats.means[lin])
+            rows.append(f"{x},{y},{stats.counts[lin]},{vals}\n")
+    write_text(path, "".join(rows))
 
 
 def read_cell_stats_csv(path: str | Path) -> CellStats:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:3] != ["X", "Y", "count"] or not header[3:]:
-            raise ValueError(f"{path}: unexpected cell-stats header {header}")
-        names = tuple(h.removeprefix("mean_") for h in header[3:])
+    def types(header, row):
         # an empty cell (count 0) may leave its means blank; any other cell
         # needs finite numbers
-        cell = (nonnegative_int,) * 3
-        filled = cell + (finite_float,) * len(names)
-        empty = cell + (_float_or_blank,) * len(names)
-        rows = [parse_row(path, reader, r, header,
-                          empty if r[2:3] == ["0"] else filled)
-                for r in filter(None, reader)]
-    if not rows:
-        raise ValueError(f"{path}: no cell rows after the header")
-    width = 1 + max(r[0] for r in rows)
-    height = 1 + max(r[1] for r in rows)
+        mean = _float_or_blank if row[2:3] == ["0"] else finite_float
+        return (nonnegative_int,) * 3 + (mean,) * (len(header) - 3)
+
+    header, rows, lines = read_csv(
+        path, lambda h: h[:3] == ["X", "Y", "count"] and len(h) > 3, types)
+    width, height, lin = lattice(path, [r[:2] for r in rows], lines)
+    names = tuple(h.removeprefix("mean_") for h in header[3:])
     counts = np.zeros(width * height, dtype=np.int64)
+    counts[lin] = [r[2] for r in rows]
     means = np.full((width * height, len(names)), np.nan)
-    for x, y, count, *vals in rows:
-        lin = y * width + x
-        counts[lin] = count
-        if count > 0:
-            means[lin] = vals
+    means[lin] = [r[3:] for r in rows]
+    means[counts == 0] = np.nan
     return CellStats(width=width, height=height, counts=counts, means=means,
                      feature_names=names)
 

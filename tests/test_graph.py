@@ -33,6 +33,9 @@ def test_out_of_range_rejected():
         build_graph(2, [(0, 5)])
     with pytest.raises(ValueError, match="out of range"):
         build_graph(2, [(-1, 0)])
+    # beyond the int32 range of Graph.indices, rejected before allocating
+    with pytest.raises(ValueError, match="int32"):
+        build_graph(10**14, [])
 
 
 def test_adjacency_sorted_and_symmetric():
@@ -89,6 +92,15 @@ def test_load_errors(tmp_path):
         load_edge_list(p)
     p.write_text("# nothing but a plain comment\n")
     with pytest.raises(ValueError, match="empty"):
+        load_edge_list(p)
+    p.write_text("0 1\n1 1\n")
+    with pytest.raises(ValueError, match=f"^{p}:2: self-loop"):
+        load_edge_list(p)
+    p.write_text("# nodes: 100000000000000\n0 1\n")
+    with pytest.raises(ValueError, match=f"^{p}:1: node count"):
+        load_edge_list(p)
+    p.write_bytes(b"0 1\n\xff 2\n")
+    with pytest.raises(ValueError, match=f"^{p}: not UTF-8"):
         load_edge_list(p)
 
 

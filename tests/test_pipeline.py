@@ -216,24 +216,46 @@ class TestCli:
         assert main(["run", str(cfg), "-o", str(out)]) == 0
         assert (out / "summary.json").exists()
 
-    def test_config_error_exit_2(self, tmp_path):
+    def test_config_error_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
         assert main(["run", str(cfg), "-o", str(tmp_path / "x")]) == 2
+        monkeypatch.chdir(tmp_path)  # where a run without -o writes
+        cfg.write_text("[1]")
+        assert main(["run", str(cfg)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
         cfg.write_text(json.dumps({"nope": 1}))
         assert main(["run", str(cfg), "-o", str(tmp_path / "x")]) == 2
+        cfg.write_bytes(b'{"seed": 1}\xff')
+        assert main(["run", str(cfg), "-o", str(tmp_path / "x")]) == 2
+        assert f"cannot read config {cfg}" in capsys.readouterr().err
         # usage errors: argparse exits 2 before any stage
         cfg.write_text(json.dumps(SMALL_CONFIG))
         trace = tmp_path / "t.csv"
         trace.write_text("t,X,Y,S,I,R\n0,0,0,5,0,0\n")
+        edges, features = tmp_path / "g.edges", tmp_path / "g.features.csv"
         for argv in (["run", str(cfg), "-o", str(tmp_path / "x"), "--runs", "0"],
                      ["run", str(cfg), "-o", str(tmp_path / "x"), "--runs", "-1"],
                      ["render", "timeline", str(trace), "--times", ",",
-                      "-o", str(tmp_path / "tl.svg")]):
+                      "-o", str(tmp_path / "tl.svg")],
+                     ["generate", "--model", "hk", "--n", "60", "--seed", "-3",
+                      "-o", str(edges)],
+                     ["categorize", str(features), "--seed", "-3"],
+                     ["simulate", "sir", str(edges), str(trace), "--seed", "-3"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
         assert not (tmp_path / "x").exists() and not (tmp_path / "tl.svg").exists()
+        assert not edges.exists()
+
+    @pytest.mark.parametrize("runs", ["1", "2"])
+    def test_negative_config_seed_exit_2(self, tmp_path, capsys, runs):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "seed": -1}))
+        out = tmp_path / "report"
+        assert main(["run", str(config), "-o", str(out), "--runs", runs]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()  # failed before any file was written
 
     def test_stage_failure_exit_3(self, tmp_path, capsys):
         missing = tmp_path / "missing.edges"
@@ -283,7 +305,8 @@ class TestCli:
 
     @pytest.mark.parametrize("row", ["0,0,0,5", "0,0,0,5,x,0", "0,0,0,5,0,0,1",
                                      "0,-1,0,7,0,0", "-1,0,0,5,0,0",
-                                     "nan,0,0,4,1,0"])
+                                     "nan,0,0,4,1,0", "0,0,0,4,1,0",
+                                     "0,0,99999999999999999999,5,0,0"])
     def test_malformed_trace_row_exit_3(self, tmp_path, capsys, row):
         trace = tmp_path / "bad.csv"
         trace.write_text(f"t,X,Y,S,I,R\n0,0,0,5,0,0\n{row}\n")
@@ -300,6 +323,30 @@ class TestCli:
                      "-o", str(tmp_path / "hm.svg")]) == 3
         assert f"{cells}:3:" in capsys.readouterr().err
         assert not (tmp_path / "hm.svg").exists()
+
+    @pytest.mark.parametrize("row,where", [
+        ("0,0,9,4,5,0.1,3,0.2", ":3: cell (0, 0) is listed twice"),
+        ("2,0,9,4,5,0.1,3,0.2", ": 2 rows do not list"),  # 3x1 without (1, 0)
+        ("0,0,99999999999999999999,4,5,0.1,3,0.2", ":3: expected")])
+    def test_malformed_cells_table_exit_3(self, tmp_path, capsys, row, where):
+        cells = tmp_path / "bad.cells.csv"
+        cells.write_text("X,Y,count,mean_k,mean_k_nn,mean_b,mean_L,mean_C\n"
+                         f"0,0,1,4,5,0.1,3,0.2\n{row}\n")
+        assert main(["render", "heatmap", str(cells),
+                     "-o", str(tmp_path / "hm.svg")]) == 3
+        assert f"{cells}{where}" in capsys.readouterr().err
+        assert not (tmp_path / "hm.svg").exists()
+
+    @pytest.mark.parametrize("rows", [
+        "0,1,0,5,0,0\n0,0,1,5,0,0\n",            # cells (1, 0), (0, 1): 2 of 4
+        "0,1,0,5,0,0\n1,1,0,5,0,0\n"])  # snapshot 1 without cell (0, 0)
+    def test_trace_snapshot_missing_cells_exit_3(self, tmp_path, capsys, rows):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(f"t,X,Y,S,I,R\n0,0,0,5,0,0\n{rows}")
+        assert main(["render", "pies", str(trace), "--t", "0",
+                     "-o", str(tmp_path / "pies.svg")]) == 3
+        assert f"{trace}: " in capsys.readouterr().err
+        assert not (tmp_path / "pies.svg").exists()
 
     @pytest.mark.parametrize("mean", ["nan", "inf"])
     def test_non_finite_cells_mean_exit_3(self, tmp_path, capsys, mean):
@@ -353,6 +400,27 @@ class TestCli:
         assert main(["metrics", str(bad)]) == 3
         err = capsys.readouterr().err
         assert f"{bad}:3:" in err and "out of range" in err
+
+    @pytest.mark.parametrize("text,where", [
+        ("0 1\n1 1\n", ":2: self-loop on node 1"),
+        ("# nodes: 100000000000000\n0 1\n", ":1: node count 100000000000000"),
+        ("0 1\n1 99999999999999999999\n", ": node count"),
+        ("0 1\n1 2\xff\n", ": not UTF-8 text")])
+    def test_malformed_edge_list_exit_3(self, tmp_path, capsys, text, where):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(text.encode("latin-1"))
+        assert main(["metrics", str(bad)]) == 3
+        assert f"{bad}{where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["2,99999999999999999999,1,0,1,0",
+                                     "2,1,1,0,1,0\xff"])
+    def test_malformed_features_exit_3(self, tmp_path, capsys, row):
+        features = tmp_path / "bad.features.csv"
+        features.write_bytes(("node,k,k_nn,b,L,C\n0,1,1,0,1,0\n1,2,1,0,1,0\n"
+                              f"{row}\n").encode("latin-1"))
+        assert main(["categorize", str(features), "-o", str(tmp_path / "out")]) == 3
+        assert str(features) in capsys.readouterr().err
+        assert not list(tmp_path.glob("out.*"))
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "m.edges"
