@@ -11,7 +11,8 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import DEFAULT_CONFIG, ConfigError
+from .config import CHOICES, DEFAULT_CONFIG, ConfigError
+from .graph import finite_float
 from .pipeline import PipelineError
 
 
@@ -25,7 +26,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _parse_times(text: str) -> list[float]:
     try:
-        times = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        times = [finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         times = []
     if not times:
@@ -60,11 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a growth-model network as an edge list")
-    p.add_argument("--model", choices=("hk", "cnn"), required=True)
+    p.add_argument("--model", choices=CHOICES["generate.model"], required=True)
     p.add_argument("--n", type=int, default=gen["n"])
     p.add_argument("--m", type=int, default=gen["m"], help="edges per arriving node (hk)")
-    p.add_argument("--pt", type=float, default=gen["p_t"], help="triad-formation probability (hk)")
-    p.add_argument("--u", type=float, default=gen["u"], help="conversion probability (cnn)")
+    p.add_argument("--pt", type=finite_float, default=gen["p_t"],
+                   help="triad-formation probability (hk)")
+    p.add_argument("--u", type=finite_float, default=gen["u"],
+                   help="conversion probability (cnn)")
     p.add_argument("--seed", type=seed_type, default=seed)
     p.add_argument("-o", "--output", required=True)
 
@@ -96,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
             flags = ["--" + key.replace("_", "-")]
             if key == "T":
                 flags.append("--temptation")
-            ps.add_argument(*flags, dest=key, type=type(value), default=value,
-                            choices=("min_id", "random") if key == "tie" else None)
+            ps.add_argument(*flags, dest=key, default=value,
+                            type=finite_float if isinstance(value, float) else type(value),
+                            choices=CHOICES.get(f"{name}.{key}"))
         ps.add_argument("--seed", type=seed_type, default=seed)
         ps.add_argument("-o", "--output", default=None)
 
@@ -110,14 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = ren.add_parser("pies", help="pie lattice for one snapshot")
     pp.add_argument("trace")
-    pp.add_argument("--t", type=float, required=True)
-    pp.add_argument("--radius", choices=("fixed", "population"), default=radius)
+    pp.add_argument("--t", type=finite_float, required=True)
+    pp.add_argument("--radius", choices=CHOICES["render.radius_mode"], default=radius)
     pp.add_argument("-o", "--output", required=True)
 
     pt = ren.add_parser("timeline", help="pie lattices for several snapshots")
     pt.add_argument("trace")
     pt.add_argument("--times", type=_parse_times, default=None)
-    pt.add_argument("--radius", choices=("fixed", "population"), default=radius)
+    pt.add_argument("--radius", choices=CHOICES["render.radius_mode"], default=radius)
     pt.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("run", help="full pipeline from a JSON config")

@@ -1,10 +1,12 @@
-"""The one table of defaults, read by the config, the stage and model
-functions and the CLI; the one cap on worker processes and the one worker
-pool, :func:`fork_map`. It imports nothing from netsom, so any module can."""
+"""The one table of defaults and the one table of choice values, read by
+the config, the stage and model functions and the CLI; the one cap on worker
+processes and the one worker pool, :func:`fork_map`. It imports nothing from
+netsom, so any module can."""
 
 from __future__ import annotations
 
 import os
+import sys
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -16,39 +18,54 @@ DEFAULT_CONFIG: dict = {
     "render": {"times": None, "radius_mode": "fixed"},
 }
 
+# the values a choice key takes; each item of a list key is one of them
+CHOICES: dict = {
+    "generate.model": ("hk", "cnn"),
+    "som.log_features": ("k", "k_nn", "b", "L", "C"),
+    "spd.tie": ("min_id", "random"),
+    "render.radius_mode": ("fixed", "population"),
+}
+
 
 class ConfigError(ValueError):
     pass
 
 
 def _check(name: str, value, default) -> None:
-    """A user value must be of its default's kind; a bool is never a number."""
-    def number(v) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A user value must be of its default's kind, its numbers finite, and
+    a choice key's values listed in CHOICES; a bool is never a number."""
+    def number(v) -> bool:  # finite, and no integer beyond the float range
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max)
 
     kind, ok = {
-        int: ("an integer", number(value) and isinstance(value, int)),
-        float: ("a number", number(value)),
+        int: ("an integer", isinstance(value, int) and number(value)),
+        float: ("a finite number", number(value)),
         str: ("a string", isinstance(value, str)),
         list: ("a list of strings", isinstance(value, list)
                and all(isinstance(v, str) for v in value)),
-        type(None): ("null or a non-empty list of numbers", value is None
+        type(None): ("null or a non-empty list of finite numbers", value is None
                      or isinstance(value, list) and len(value) > 0
                      and all(map(number, value))),
     }[type(default)]
+    if ok and name in CHOICES:
+        kind = f"{kind} from {', '.join(CHOICES[name])}"
+        ok = set(value if isinstance(value, list) else [value]) <= set(CHOICES[name])
     if not ok:
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 def resolve_config(config: dict) -> dict:
-    """Overlay user config onto the defaults; unknown keys and values of
-    the wrong type are errors."""
+    """Overlay user config onto the defaults; unknown keys, values of the
+    wrong type, non-finite numbers and unlisted choices are errors."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     known_top = set(DEFAULT_CONFIG) | {"outdir"}
     unknown = set(config) - known_top
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if "outdir" in config:
+        _check("outdir", config["outdir"], "")
     resolved = {"seed": config.get("seed", DEFAULT_CONFIG["seed"])}
     _check("seed", resolved["seed"], DEFAULT_CONFIG["seed"])
     if resolved["seed"] < 0:

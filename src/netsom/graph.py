@@ -234,12 +234,13 @@ def _utf8_lines(path: str | Path):
             raise ValueError(f"{path}: not UTF-8 text") from None
 
 
-def lattice(path: str | Path, cells: list[tuple],
-            lines: list[int]) -> tuple[int, int, np.ndarray]:
-    """(1 + largest X, 1 + largest Y, each row's Y*width + X) of a table
-    whose rows, read at ``lines``, hold (key..., X, Y) in ``cells`` and list
-    every cell once per key (a trace's key is the time). A repeat names its
-    line; a wrong row count raises before the lattice is allocated."""
+def lattice(path: str | Path, rows: list[tuple], lines: list[int],
+            keys: int = 0) -> tuple[int, int, list[tuple]]:
+    """(1 + largest X, 1 + largest Y, the rows sorted by (key..., Y, X)) of a
+    table whose rows, read at ``lines``, hold ``keys`` key fields, then X, Y,
+    and list every cell once per key (a trace's key is the time). A repeat
+    names its line; a wrong row count raises before the lattice is allocated."""
+    cells = [row[:keys + 2] for row in rows]
     width = 1 + max(cell[-2] for cell in cells)
     height = 1 + max(cell[-1] for cell in cells)
     seen = set()
@@ -251,7 +252,7 @@ def lattice(path: str | Path, cells: list[tuple],
     if len(cells) != len({cell[:-2] for cell in cells}) * width * height:
         raise ValueError(f"{path}: {len(cells)} rows do not list each cell of "
                          f"a {width}x{height} lattice once")
-    return width, height, np.array([y * width + x for *_, x, y in cells])
+    return width, height, sorted(rows, key=lambda r: (*r[:keys], r[keys + 1], r[keys]))
 
 
 def read_node_csv(path: str | Path, header: tuple[str, ...],

@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import fork_map
+from .config import CHOICES, fork_map
 from .graph import (Graph, finite_float, gather_rows, nonnegative_int,
                     read_node_csv, write_text)
 
-FEATURE_NAMES = ("k", "k_nn", "b", "L", "C")
+FEATURE_NAMES = CHOICES["som.log_features"]
 
 
 @dataclass

@@ -65,7 +65,7 @@ def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
     names = ",".join(trace.state_names)
     rows = [f"{trace.time_label},X,Y,{names}\n"]
     for t, counts in zip(trace.times, trace.counts):
-        ts = str(int(round(t))) if trace.time_label == "round" else f"{t:.10g}"
+        ts = f"{t:.10g}"
         for lin in range(trace.n_cells):
             x, y = lin % trace.width, lin // trace.width
             vals = ",".join(str(int(counts[s, lin]))
@@ -83,12 +83,10 @@ def read_trace_csv(path: str | Path) -> SimTrace:
         if times[i] < times[i - 1]:
             raise ValueError(f"{path}:{lines[i]}: snapshot times "
                              f"must be strictly increasing")
-    width, height, lin = lattice(path, [r[:3] for r in rows], lines)
+    width, height, rows = lattice(path, rows, lines, keys=1)
     trace = SimTrace(state_names=tuple(header[3:]), width=width, height=height,
                      time_label=header[0])
     values = np.array([r[3:] for r in rows], dtype=np.int64)
     for lo in range(0, len(rows), trace.n_cells):  # one snapshot per block
-        counts = np.zeros((len(trace.state_names), trace.n_cells), dtype=np.int64)
-        counts[:, lin[lo:lo + trace.n_cells]] = values[lo:lo + trace.n_cells].T
-        trace.append(times[lo], counts)
+        trace.append(rows[lo][0], values[lo:lo + trace.n_cells].T)
     return trace

@@ -10,6 +10,8 @@ agents remain.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import DEFAULT_CONFIG
@@ -45,18 +47,17 @@ def _sweep(states: list[int], nbrs: list[list[int]], inf_cnt: list[int],
     """
     infections = 0
     recoveries = 0
-    for j in range(len(picks)):
-        a = picks[j]
+    for a, u in zip(picks, draws):
         st = states[a]
         if st == 0:
             c = inf_cnt[a]
-            if c and draws[j] < lam_dt * c:
+            if c and u < lam_dt * c:
                 states[a] = 1
                 infections += 1
                 for w in nbrs[a]:
                     inf_cnt[w] += 1
         elif st == 1:
-            if draws[j] < mu_dt:
+            if u < mu_dt:
                 states[a] = 2
                 recoveries += 1
                 for w in nbrs[a]:
@@ -71,13 +72,16 @@ def run_sir(graph: Graph, assignment: CellAssignment,
             snapshot_every: float = _SIR["snapshot_every"]) -> SimTrace:
     """Run sweeps until no infectious agents remain; record per-cell counts.
 
-    Snapshots fall at t=0, at every crossing of ``snapshot_every``, and
-    always at the terminal time; ``snapshot_every=dt`` records every sweep.
+    Snapshots fall at t=0, at the first sweep past each multiple of
+    ``snapshot_every``, and always at the terminal time. Any positive, finite
+    ``snapshot_every`` works; one at or below dt records every sweep.
     The master seed splits into independent initial-infection and dynamics
     streams, so the whole trace is reproducible from (graph, seed, params).
     """
     if assignment.n != graph.n:
         raise ValueError("assignment does not cover the graph's nodes")
+    if not all(map(math.isfinite, (lam, mu, dt, snapshot_every))):
+        raise ValueError("lambda, mu, dt and snapshot_every must be finite")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if mu <= 0 or dt <= 0:
@@ -103,33 +107,25 @@ def run_sir(graph: Graph, assignment: CellAssignment,
     trace = SimTrace(state_names=STATE_NAMES, width=assignment.width,
                      height=assignment.height, time_label="t")
     trace.record(0.0, states, cells)
-    next_snapshot = snapshot_every
+    every = max(snapshot_every, dt)  # same snapshots; keeps t / every finite
+    due = 1.0  # the multiple of every whose passing takes the next snapshot
 
-    # draws are consumed in fixed multi-sweep blocks; the block size is a
+    # draws come in (chunk, n) blocks, one row per sweep; the block size is a
     # function of n alone, so it is part of the deterministic stream layout
     chunk = max(1, min(64, 65536 // n))
-    buf_picks: list[int] = []
-    buf_draws: list[float] = []
-    pos = chunk
-
     sweep = 0
     while n_infected > 0:
-        if pos == chunk:
-            buf_picks = rng.integers(0, n, size=chunk * n).tolist()
-            buf_draws = rng.random(size=chunk * n).tolist()
-            pos = 0
-        base = pos * n
-        picks = buf_picks[base:base + n]
-        draws = buf_draws[base:base + n]
-        pos += 1
-        infections, recoveries = _sweep(states, nbrs, inf_cnt, picks, draws,
-                                        lam_dt, mu_dt)
+        row = sweep % chunk
+        if row == 0:
+            picks = rng.integers(0, n, size=(chunk, n)).tolist()
+            draws = rng.random(size=(chunk, n)).tolist()
+        infections, recoveries = _sweep(states, nbrs, inf_cnt, picks[row],
+                                        draws[row], lam_dt, mu_dt)
         n_infected += infections - recoveries
         sweep += 1
         t = sweep * dt  # exact product avoids float accumulation drift
-        due = t >= next_snapshot - 1e-9
-        while t >= next_snapshot - 1e-9:
-            next_snapshot += snapshot_every
-        if due or n_infected == 0:  # the terminal snapshot is always taken
+        passed = (t + 1e-9) / every  # multiples of every passed
+        if passed >= due or n_infected == 0:  # the terminal one always
             trace.record(t, states, cells)
+            due = passed // 1 + 1
     return trace

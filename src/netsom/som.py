@@ -280,12 +280,10 @@ def read_cell_stats_csv(path: str | Path) -> CellStats:
 
     header, rows, lines = read_csv(
         path, lambda h: h[:3] == ["X", "Y", "count"] and len(h) > 3, types)
-    width, height, lin = lattice(path, [r[:2] for r in rows], lines)
+    width, height, rows = lattice(path, rows, lines)
     names = tuple(h.removeprefix("mean_") for h in header[3:])
-    counts = np.zeros(width * height, dtype=np.int64)
-    counts[lin] = [r[2] for r in rows]
-    means = np.full((width * height, len(names)), np.nan)
-    means[lin] = [r[3:] for r in rows]
+    counts = np.array([r[2] for r in rows], dtype=np.int64)
+    means = np.array([r[3:] for r in rows], dtype=np.float64)
     means[counts == 0] = np.nan
     return CellStats(width=width, height=height, counts=counts, means=means,
                      feature_names=names)

@@ -10,6 +10,8 @@ uniformly at random in the "random" tie mode).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import DEFAULT_CONFIG
@@ -31,8 +33,8 @@ def init_spd(graph: Graph, seed=None) -> np.ndarray:
 def play_round(graph: Graph, strategies: np.ndarray, T: float = _SPD["T"],
                eps: float = _SPD["eps"]) -> np.ndarray:
     """Accumulated payoff per agent from one game against each neighbor."""
-    if not (T > 1.0 > eps >= 0.0):
-        raise ValueError("dilemma ordering requires T > 1 > eps >= 0")
+    if not (math.isfinite(T) and T > 1.0 > eps >= 0.0):
+        raise ValueError("dilemma ordering requires a finite T > 1 > eps >= 0")
     n = graph.n
     src, dst = graph.directed_edges()
     coop = strategies == C

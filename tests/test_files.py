@@ -100,3 +100,22 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, case):
     assert target.read_bytes() == b"previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+
+def test_rows_in_any_cell_order_read_the_same(tmp_path):
+    rng = np.random.default_rng(0)
+    lattice = [(x, y) for y in range(2) for x in range(3)]
+    cells = [f"{x},{y},{x + y},{',' if x + y == 0 else f'{x},{y / 3}'}\n"
+             for x, y in lattice]
+    snapshots = [[f"{t},{x},{y},{5 - t - x},{t + x},{y}\n" for x, y in lattice]
+                 for t in (0, 1)]
+    tables = {"cells": (read_cell_stats_csv, "X,Y,count,mean_k,mean_b\n", [cells]),
+              "trace": (read_trace_csv, "t,X,Y,S,I,R\n", snapshots)}
+    for name, (read, header, blocks) in tables.items():
+        ordered, shuffled = tmp_path / f"{name}.csv", tmp_path / f"{name}.shuffled.csv"
+        ordered.write_text(header + "".join(map("".join, blocks)))
+        shuffled.write_text(header + "".join("".join(rng.permutation(rows))
+                                             for rows in blocks))
+        a, b = read(ordered), read(shuffled)
+        assert shuffled.read_text() != ordered.read_text()
+        for field in vars(a):
+            np.testing.assert_equal(getattr(b, field), getattr(a, field))

@@ -229,6 +229,9 @@ class TestCli:
         cfg.write_bytes(b'{"seed": 1}\xff')
         assert main(["run", str(cfg), "-o", str(tmp_path / "x")]) == 2
         assert f"cannot read config {cfg}" in capsys.readouterr().err
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "outdir": 5}))
+        assert main(["run", str(cfg)]) == 2
+        assert "outdir must be a string" in capsys.readouterr().err
         # usage errors: argparse exits 2 before any stage
         cfg.write_text(json.dumps(SMALL_CONFIG))
         trace = tmp_path / "t.csv"
@@ -241,7 +244,11 @@ class TestCli:
                      ["generate", "--model", "hk", "--n", "60", "--seed", "-3",
                       "-o", str(edges)],
                      ["categorize", str(features), "--seed", "-3"],
-                     ["simulate", "sir", str(edges), str(trace), "--seed", "-3"]):
+                     ["simulate", "sir", str(edges), str(trace), "--seed", "-3"],
+                     ["simulate", "sir", str(edges), str(trace), "--dt", "inf"],
+                     ["simulate", "sir", str(edges), str(trace), "--lambda", "nan"],
+                     ["render", "pies", str(trace), "--t", "nan",
+                      "-o", str(tmp_path / "tl.svg")]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -385,7 +392,11 @@ class TestCli:
     @pytest.mark.parametrize("section,key,value", [
         ("som", "width", "5"), ("sir", "initial", 2.5), ("render", "times", "abc"),
         ("render", "times", [1, True]), ("spd", "T", True), ("som", "log_features", "b"),
-        ("generate", "model", 3), ("render", "times", [])])
+        ("generate", "model", 3), ("render", "times", []), ("sir", "dt", float("inf")),
+        ("sir", "lambda", float("nan")), ("render", "times", [1.0, float("nan")]),
+        pytest.param("sir", "mu", 10**400, id="sir-mu-10**400"),
+        ("generate", "model", "ba"), ("spd", "tie", "rand"),
+        ("render", "radius_mode", "pop"), ("som", "log_features", ["bb"])])
     def test_config_value_type_exit_2(self, tmp_path, capsys, section, key, value):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({**SMALL_CONFIG, section: {key: value}}))
@@ -421,6 +432,21 @@ class TestCli:
         assert main(["categorize", str(features), "-o", str(tmp_path / "out")]) == 3
         assert str(features) in capsys.readouterr().err
         assert not list(tmp_path.glob("out.*"))
+
+    def test_tiny_snapshot_interval_records_every_sweep(self, tmp_path):
+        edges, assign = tmp_path / "g.edges", tmp_path / "g.assign.csv"
+        assert main(["generate", "--model", "hk", "--n", "60", "--seed", "1",
+                     "-o", str(edges)]) == 0
+        assign.write_text("node,X,Y\n" + "".join(f"{i},{i % 2},0\n" for i in range(60)))
+        traces = []
+        for every in ("0.01", "1e-300", "5e-324"):  # 0.01 is dt
+            traces.append(tmp_path / f"{every}.csv")
+            proc = subprocess.run(
+                [sys.executable, "-m", "netsom", "simulate", "sir", str(edges),
+                 str(assign), "--snapshot-every", every, "-o", str(traces[-1])],
+                capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+        assert traces[0].read_bytes() == traces[1].read_bytes() == traces[2].read_bytes()
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "m.edges"

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from netsom import build_graph, generate_hk, init_sir, run_sir
+from netsom import (build_graph, generate_cnn, generate_hk, init_sir, run_sir,
+                    write_trace_csv)
 from netsom.sir import I, R, S, _sweep
 from netsom.som import CellAssignment
 from conftest import random_connected_graph
@@ -22,6 +25,20 @@ def every_sweep(g, n_initial, lam, mu, dt, seed):
                                dt * np.arange(len(trace.times)), atol=1e-12)
     return [trace.totals(i) for i in range(len(trace.times))]
 
+
+# sha256 of the trace CSV of one SIR run on a CNN n=300 graph, per
+# (dt, snapshot_every): intervals that are not multiples of dt, or lie below
+# it, and runs longer than one 64-sweep draw block
+SIR_TRACE_DIGESTS = {
+    (0.03, 0.1):
+        "8c84bcf604db7f01205440f1761aa192ca973dfc632ed9432d0785dc1c0756b2",
+    (0.07, 0.05):
+        "7bd07d46fd3eb33c445fd58579aeeb812fb36d07d740cbec60e69081ee03e077",
+    (0.01, 0.001):
+        "a55f9b300259da0937f0a63f5759ee46e52b48426cc32fdeeb4d656dab1e368b",
+    (0.1, 1 / 7):
+        "3d3eaffa08a697c99c0725b2410865bdbf4200a319ebc881d90276aacc32242f",
+}
 
 # the largest uniform draw below 1
 BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -157,10 +174,30 @@ class TestRun:
         assert trace.counts[0].sum(axis=0).tolist() == [2, 2]
         assert trace.counts[-1].sum(axis=0).tolist() == [2, 2]
 
+    @pytest.mark.parametrize("dt,snapshot_every", list(SIR_TRACE_DIGESTS))
+    def test_trace_bytes_pinned(self, tmp_path, dt, snapshot_every):
+        g = generate_cnn(300, u=0.75, seed=20)
+        cells = np.arange(g.n)
+        a = CellAssignment(width=3, height=2, x=cells % 3, y=cells // 3 % 2)
+        trace = run_sir(g, a, lam=0.5, dt=dt, snapshot_every=snapshot_every,
+                        seed=21)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == SIR_TRACE_DIGESTS[dt, snapshot_every]
+
     def test_mu_zero_rejected(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             run_sir(g, one_cell_assignment(3), mu=0.0, n_initial=1, seed=0)
+
+    @pytest.mark.parametrize("param", ["lam", "mu", "dt", "snapshot_every"])
+    def test_non_finite_parameter_rejected(self, param):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="must be finite"):
+                run_sir(g, one_cell_assignment(3), n_initial=1, seed=0,
+                        **{param: value})
 
     def test_two_node_oracle_small(self):
         # continuous-time limit: P(S infected before I recovers) = lam/(lam+mu);

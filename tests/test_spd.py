@@ -75,6 +75,8 @@ class TestPlayRound:
             play_round(g, s, T=0.9)
         with pytest.raises(ValueError):
             play_round(g, s, T=1.5, eps=1.0)
+        with pytest.raises(ValueError):
+            play_round(g, s, T=float("inf"))
 
 
 class TestUpdate:
