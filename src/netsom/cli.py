@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import CHOICES, DEFAULT_CONFIG, ConfigError
+from .config import CHOICES, DEFAULT_CONFIG, ConfigError, check
 from .graph import finite_float
 from .pipeline import PipelineError
 
@@ -34,6 +34,19 @@ def _parse_times(text: str) -> list[float]:
     return times
 
 
+def _seed(text: str) -> int:
+    """An argparse type: an integer seed that the config accepts."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    try:
+        check("", {"seed": seed})
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return seed
+
+
 def _int_at_least(low: int, what: str):
     """An argparse type: an integer >= ``low``, else a usage error."""
     def parse(text: str) -> int:
@@ -50,7 +63,6 @@ def _int_at_least(low: int, what: str):
 
 def build_parser() -> argparse.ArgumentParser:
     seed = DEFAULT_CONFIG["seed"]
-    seed_type = _int_at_least(0, "seed")
     gen, som = DEFAULT_CONFIG["generate"], DEFAULT_CONFIG["som"]
     radius = DEFAULT_CONFIG["render"]["radius_mode"]
     parser = argparse.ArgumentParser(
@@ -68,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="triad-formation probability (hk)")
     p.add_argument("--u", type=finite_float, default=gen["u"],
                    help="conversion probability (cnn)")
-    p.add_argument("--seed", type=seed_type, default=seed)
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("metrics", help="compute per-node features to CSV")
@@ -80,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_parse_grid,
                    default=(som["width"], som["height"]), metavar="WxH")
     p.add_argument("--epochs", type=int, default=som["epochs"])
-    p.add_argument("--seed", type=seed_type, default=seed)
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--log-features", default="",
                    help="comma-separated feature names to log10(1+x)-scale first")
     p.add_argument("-o", "--out-prefix", default=None)
@@ -102,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
             ps.add_argument(*flags, dest=key, default=value,
                             type=finite_float if isinstance(value, float) else type(value),
                             choices=CHOICES.get(f"{name}.{key}"))
-        ps.add_argument("--seed", type=seed_type, default=seed)
+        ps.add_argument("--seed", type=_seed, default=seed)
         ps.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("render", help="render SVG figures from CSV artifacts")

@@ -1,10 +1,11 @@
-"""The one table of defaults and the one table of choice values, read by
-the config, the stage and model functions and the CLI; the one cap on worker
-processes and the one worker pool, :func:`fork_map`. It imports nothing from
-netsom, so any module can."""
+"""The one table of defaults and the one table of valid values, with their
+one checker, read by the config, the stage and model functions and the CLI;
+the one cap on worker processes and the one worker pool, :func:`fork_map`.
+It imports nothing from netsom, so any module can."""
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 
@@ -26,14 +27,55 @@ CHOICES: dict = {
     "render.radius_mode": ("fixed", "population"),
 }
 
+# the bounds of each number key: every (operator, limit) pair must hold
+RANGES: dict = {
+    "seed": ((">=", 0),),
+    "generate.n": ((">=", 1),),
+    "generate.m": ((">=", 1),),
+    "generate.p_t": ((">=", 0), ("<=", 1)),
+    "generate.u": ((">", 0), ("<", 1)),
+    "som.width": ((">=", 1),),
+    "som.height": ((">=", 1),),
+    "som.epochs": ((">=", 1),),
+    "sir.lambda": ((">=", 0),),
+    "sir.mu": ((">", 0),),
+    "sir.dt": ((">", 0),),
+    "sir.initial": ((">=", 1),),
+    "sir.snapshot_every": ((">", 0),),
+    "spd.T": ((">", 1),),
+    "spd.eps": ((">=", 0), ("<", 1)),
+    "spd.max_rounds": ((">=", 1),),
+}
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _check(name: str, value, default) -> None:
-    """A user value must be of its default's kind, its numbers finite, and
-    a choice key's values listed in CHOICES; a bool is never a number."""
+def check(section: str, values: dict) -> None:
+    """The one check of parameter values, by config key within ``section``
+    ("" for the top level): a choice key's values must be listed in CHOICES,
+    and a number key's value must be finite and within its RANGES bounds;
+    else ConfigError. Keys in neither table pass."""
+    for key, value in values.items():
+        name = f"{section}.{key}" if section else key
+        if name in CHOICES:
+            listed = CHOICES[name]
+            if not set(value if isinstance(value, (list, tuple)) else [value]) <= set(listed):
+                raise ConfigError(f"{name} must be from {', '.join(listed)}, got {value!r}")
+        elif name in RANGES:
+            if not abs(value) <= sys.float_info.max:  # NaN, infinite or huge
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            bounds = RANGES[name]
+            if not all(_OPERATORS[op](value, limit) for op, limit in bounds):
+                rule = " and ".join(f"{op} {limit}" for op, limit in bounds)
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_type(name: str, value, default) -> None:
+    """A user value must be of its default's kind and its numbers finite;
+    a bool is never a number."""
     def number(v) -> bool:  # finite, and no integer beyond the float range
         return (isinstance(v, (int, float)) and not isinstance(v, bool)
                 and abs(v) <= sys.float_info.max)
@@ -48,16 +90,14 @@ def _check(name: str, value, default) -> None:
                      or isinstance(value, list) and len(value) > 0
                      and all(map(number, value))),
     }[type(default)]
-    if ok and name in CHOICES:
-        kind = f"{kind} from {', '.join(CHOICES[name])}"
-        ok = set(value if isinstance(value, list) else [value]) <= set(CHOICES[name])
     if not ok:
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 def resolve_config(config: dict) -> dict:
-    """Overlay user config onto the defaults; unknown keys, values of the
-    wrong type, non-finite numbers and unlisted choices are errors."""
+    """Overlay user config onto the defaults. Unknown keys, values of the
+    wrong type, values that :func:`check` rejects, and values that break a
+    rule relating two keys are errors, raised before any stage runs."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     known_top = set(DEFAULT_CONFIG) | {"outdir"}
@@ -65,27 +105,43 @@ def resolve_config(config: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "outdir" in config:
-        _check("outdir", config["outdir"], "")
+        _check_type("outdir", config["outdir"], "")
     resolved = {"seed": config.get("seed", DEFAULT_CONFIG["seed"])}
-    _check("seed", resolved["seed"], DEFAULT_CONFIG["seed"])
-    if resolved["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {resolved['seed']!r}")
+    _check_type("seed", resolved["seed"], DEFAULT_CONFIG["seed"])
+    check("", {"seed": resolved["seed"]})
     for section in ("generate", "som", "sir", "spd", "render"):
         user = config.get(section, {})
-        if user is False:
+        # a run may skip a simulation or the figures, not a stage they need;
+        # absent sections mean "run with defaults"
+        may_skip = section in ("sir", "spd", "render")
+        if user is False and may_skip:
             resolved[section] = False
             continue
         if not isinstance(user, dict):
-            raise ConfigError(f"section {section!r} must be an object or false")
+            raise ConfigError(f"section {section!r} must be an object"
+                              + (" or false" if may_skip else ""))
         defaults = DEFAULT_CONFIG[section]
         bad = set(user) - set(defaults)
         if bad:
             raise ConfigError(f"unknown keys in {section!r}: {sorted(bad)}")
         for key, value in user.items():
-            _check(f"{section}.{key}", value, defaults[key])
+            _check_type(f"{section}.{key}", value, defaults[key])
+        check(section, user)
         resolved[section] = {**defaults, **user}
-    # running neither simulation is allowed only by explicit "sir": false,
-    # "spd": false; absent sections mean "run with defaults"
+    # the rules that relate two keys; the functions that read the keys check
+    # them against their own inputs too
+    gen, som, sir = resolved["generate"], resolved["som"], resolved["sir"]
+    if gen["n"] < 3:
+        raise ConfigError(f"generate.n must be >= 3, got {gen['n']}: "
+                          "feature vector needs at least 3 nodes")
+    if gen["model"] == "hk" and gen["n"] <= gen["m"]:
+        raise ConfigError(f"generate.n must be > generate.m, got n={gen['n']}, "
+                          f"m={gen['m']}")
+    if som["width"] * som["height"] < 2:
+        raise ConfigError(f"som.width * som.height must be >= 2, got "
+                          f"{som['width']}x{som['height']}")
+    if sir and sir["initial"] > gen["n"]:
+        raise ConfigError(f"sir.initial must be in [1, {gen['n']}], got {sir['initial']}")
     return resolved
 
 

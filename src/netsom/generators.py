@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, ConfigError, check
 from .graph import Graph, build_graph
 
 # Resampling budget when a preferential-attachment draw hits the arriving
@@ -35,12 +35,9 @@ def generate_hk(n: int, m: int = _GEN["m"], p_t: float = _GEN["p_t"],
         p_t: triad-formation probability in [0, 1].
         seed: RNG seed; same seed reproduces the identical edge set.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check("generate", {"n": n, "m": m, "p_t": p_t})
     if n <= m:
-        raise ValueError(f"n must exceed m (got n={n}, m={m})")
-    if not 0.0 <= p_t <= 1.0:
-        raise ValueError("p_t must lie in [0, 1]")
+        raise ConfigError(f"generate.n must be > generate.m, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
 
     adj: list[dict[int, None]] = [{} for _ in range(n)]  # ordered neighbor sets
@@ -102,10 +99,7 @@ def generate_cnn(n: int, u: float = _GEN["u"], seed: int | None = None) -> Graph
 def _grow_cnn(n: int, u: float,
               rng: np.random.Generator) -> tuple[list[tuple[int, int]], int]:
     """CNN growth loop; returns (edges, successful conversion count)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie strictly inside (0, 1)")
+    check("generate", {"n": n, "u": u})
 
     adj: list[dict[int, None]] = [{} for _ in range(n)]  # ordered neighbor sets
     edges: list[tuple[int, int]] = []

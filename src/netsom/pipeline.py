@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, DEFAULT_CONFIG, resolve_config,  # noqa: F401 - re-exported
-                     fork_map, thread_cap, worker_count)
+                     check, fork_map, thread_cap, worker_count)
 from .generators import generate_cnn, generate_hk
 from .graph import Graph, load_edge_list, save_edge_list, write_text
 from .metrics import (FEATURE_NAMES, NodeFeatures, compute_all,
@@ -49,6 +49,7 @@ class PipelineError(RuntimeError):
 
 def derive_seed(master: int, *key: int) -> int:
     """Stage seed derived from the master seed and an integer key path."""
+    check("", {"seed": master})
     ss = np.random.SeedSequence([int(master), *[int(k) for k in key]])
     return int(ss.generate_state(1, dtype=np.uint32)[0])
 
@@ -103,14 +104,13 @@ def stage_generate(out_path: str | Path, model: str = _GEN["model"],
                    p_t: float = _GEN["p_t"], u: float = _GEN["u"],
                    seed: int = _SEED) -> Graph:
     out_path = Path(out_path)
+    check("generate", {"model": model})
     if model == "hk":
         graph = generate_hk(n, m=m, p_t=p_t, seed=seed)
         params = {"model": model, "n": n, "m": m, "p_t": p_t}
-    elif model == "cnn":
+    else:
         graph = generate_cnn(n, u=u, seed=seed)
         params = {"model": model, "n": n, "u": u}
-    else:
-        raise ValueError(f"unknown model {model!r} (expected 'hk' or 'cnn')")
     save_edge_list(graph, out_path)
     _write_meta(out_path, "generate", params, seed, [],
                 result={"edges": graph.num_edges,
@@ -132,15 +132,11 @@ def stage_categorize(features_path: str | Path, out_prefix: str | Path,
                      log_features: tuple[str, ...] = ()):
     """Normalize, train the lattice, assign nodes, and write the three
     artifacts: <prefix>.assign.csv, <prefix>.cells.csv, <prefix>.som.json."""
+    check("som", {"log_features": log_features})
     features_path = check_fresh(features_path)
     features = read_features_csv(features_path)
-    mat = features.as_matrix()
-    cols = []
-    for name in log_features:
-        if name not in FEATURE_NAMES:
-            raise ValueError(f"unknown feature {name!r} in log_features")
-        cols.append(FEATURE_NAMES.index(name))
-    mat = apply_log_columns(mat, tuple(cols))
+    mat = apply_log_columns(features.as_matrix(),
+                            tuple(map(FEATURE_NAMES.index, log_features)))
     normalized, norm_params = normalize_features(mat)
     grid = train_som(normalized, width=width, height=height, epochs=epochs,
                      seed=seed, norm_params=norm_params)

@@ -9,11 +9,10 @@ follows the category map convention: X increases rightward, Y upward.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, check
 from .simtrace import SimTrace
 from .som import CellStats
 
@@ -65,8 +64,20 @@ def _svg_doc(width: float, height: float, body: str) -> str:
 
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "middle",
           extra: str = "") -> str:
+    s = s.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
     return (f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" '
-            f'font-size="{size}" text-anchor="{anchor}"{extra}>{escape(s)}</text>\n')
+            f'font-size="{size}" text-anchor="{anchor}"{extra}>{s}</text>\n')
+
+
+def _axis_ticks(width: int, height: int, cell: float, ox: float = 0.0,
+                oy: float = 0.0) -> str:
+    """Cell-index labels of a lattice whose top-left corner is (ox, oy): X
+    under each column, Y left of each row, with Y pointing upward."""
+    xs = [_text(ox + (x + 0.5) * cell, oy + height * cell + 12, str(x), size=10)
+          for x in range(width)]
+    ys = [_text(ox - 5, oy + (height - 1 - y + 0.5) * cell + 4, str(y), size=10,
+                anchor="end") for y in range(height)]
+    return "".join(xs + ys)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +137,7 @@ def _heatmap_panel(key: str, values: np.ndarray, populated: np.ndarray,
         out.append(f'<rect id="{key}-{x}-{y}" x="{px:.2f}" y="{py:.2f}" '
                    f'width="{CELL}" height="{CELL}" fill="{fill}" '
                    f'stroke="#ffffff" stroke-width="1"/>\n')
-    for x in range(width):
-        out.append(_text(gx0 + (x + 0.5) * CELL, gy0 + height * CELL + 12, str(x), size=10))
-    for y in range(height):
-        out.append(_text(gx0 - 5, gy0 + (height - 1 - y + 0.5) * CELL + 4, str(y),
-                         size=10, anchor="end"))
+    out.append(_axis_ticks(width, height, CELL, gx0, gy0))
     out.append(_text(gx0 + width * CELL / 2, gy0 + height * CELL + 26, "X", size=10))
     out.append(_text(gx0 - 18, gy0 + height * CELL / 2, "Y", size=10))
     # legend: discrete gradient strip with numeric endpoints
@@ -184,8 +191,7 @@ def _pie_panel(counts: np.ndarray, width: int, height: int,
                oy: float) -> str:
     """Lattice of pies with its axis labels, in a group whose origin (ox, oy)
     is the top-left of the cell grid. Empty cells draw nothing."""
-    if radius_mode not in ("fixed", "population"):
-        raise ValueError(f"unknown radius_mode {radius_mode!r}")
+    check("render", {"radius_mode": radius_mode})
     totals = counts.sum(axis=0)
     max_total = int(totals.max()) if totals.size else 0
     out = [f'<g transform="translate({ox},{oy})">\n']
@@ -201,11 +207,7 @@ def _pie_panel(counts: np.ndarray, width: int, height: int,
             r = PIE_RADIUS * math.sqrt(total / max_total)
         fracs = [counts[s, lin] / total for s in range(counts.shape[0])]
         out.append(_pie_sectors(cx, cy, r, fracs, colors))
-    for x in range(width):
-        out.append(_text((x + 0.5) * PIE_CELL, height * PIE_CELL + 12, str(x), size=10))
-    for y in range(height):
-        out.append(_text(-5, (height - 1 - y + 0.5) * PIE_CELL + 4, str(y),
-                         size=10, anchor="end"))
+    out.append(_axis_ticks(width, height, PIE_CELL))
     out.append('</g>\n')
     return "".join(out)
 

@@ -10,11 +10,9 @@ agents remain.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, check
 from .graph import Graph
 from .simtrace import SimTrace
 from .som import CellAssignment
@@ -28,7 +26,7 @@ def init_sir(graph: Graph, n_initial: int, seed=None) -> np.ndarray:
     """Per-agent int8 states: all susceptible except ``n_initial`` distinct
     agents drawn uniformly, who start infectious."""
     if not 1 <= n_initial <= graph.n:
-        raise ValueError(f"n_initial must be in [1, {graph.n}]")
+        raise ValueError(f"sir.initial must be in [1, {graph.n}], got {n_initial}")
     rng = np.random.default_rng(seed)
     states = np.zeros(graph.n, dtype=np.int8)
     infected = rng.choice(graph.n, size=n_initial, replace=False)
@@ -80,14 +78,8 @@ def run_sir(graph: Graph, assignment: CellAssignment,
     """
     if assignment.n != graph.n:
         raise ValueError("assignment does not cover the graph's nodes")
-    if not all(map(math.isfinite, (lam, mu, dt, snapshot_every))):
-        raise ValueError("lambda, mu, dt and snapshot_every must be finite")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if mu <= 0 or dt <= 0:
-        raise ValueError("termination requires mu > 0 and dt > 0")
-    if snapshot_every <= 0:
-        raise ValueError("snapshot_every must be positive")
+    check("sir", {"lambda": lam, "mu": mu, "dt": dt, "initial": n_initial,
+                  "snapshot_every": snapshot_every})
 
     init_seed, step_seed = np.random.SeedSequence(seed).spawn(2)
     states0 = init_sir(graph, n_initial, seed=init_seed)

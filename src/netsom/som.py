@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, ConfigError, check
 from .graph import (finite_float, lattice, nonnegative_int, read_csv,
                     read_node_csv, write_text)
 
@@ -142,10 +142,9 @@ def train_som(data: np.ndarray, width: int = _SOM["width"],
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("need a nonempty 2-D sample matrix")
-    if width < 1 or height < 1 or width * height < 2:
-        raise ValueError("lattice must contain at least 2 cells")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    check("som", {"width": width, "height": height, "epochs": epochs})
+    if width * height < 2:
+        raise ConfigError(f"som.width * som.height must be >= 2, got {width}x{height}")
 
     dim = data.shape[1]
     n_cells = width * height

@@ -10,11 +10,9 @@ uniformly at random in the "random" tie mode).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, check
 from .graph import Graph
 from .simtrace import SimTrace
 from .som import CellAssignment
@@ -33,8 +31,7 @@ def init_spd(graph: Graph, seed=None) -> np.ndarray:
 def play_round(graph: Graph, strategies: np.ndarray, T: float = _SPD["T"],
                eps: float = _SPD["eps"]) -> np.ndarray:
     """Accumulated payoff per agent from one game against each neighbor."""
-    if not (math.isfinite(T) and T > 1.0 > eps >= 0.0):
-        raise ValueError("dilemma ordering requires a finite T > 1 > eps >= 0")
+    check("spd", {"T": T, "eps": eps})
     n = graph.n
     src, dst = graph.directed_edges()
     coop = strategies == C
@@ -51,6 +48,7 @@ def update_strategies(graph: Graph, strategies: np.ndarray,
     Agents whose own payoff is >= every neighbor's keep their strategy;
     isolated agents always keep theirs.
     """
+    check("spd", {"tie": tie})
     n = graph.n
     deg = graph.degrees
     indptr, indices = graph.indptr, graph.indices
@@ -74,15 +72,13 @@ def update_strategies(graph: Graph, strategies: np.ndarray,
         chosen = np.full(n, n, dtype=np.int64)
         chosen[nonempty] = np.minimum.reduceat(masked_ids, starts)
         new[adopt] = strategies[chosen[adopt]]
-    elif tie == "random":
+    else:
         if rng is None:
             raise ValueError("tie='random' needs an rng")
         for i in np.flatnonzero(adopt):
             row = indices[indptr[i]:indptr[i + 1]]
             best = row[payoffs[row] == payoffs[row].max()]
             new[i] = strategies[best[rng.integers(best.size)]]
-    else:
-        raise ValueError(f"unknown tie mode {tie!r}")
     return new
 
 
@@ -98,8 +94,7 @@ def run_spd(graph: Graph, assignment: CellAssignment, T: float = _SPD["T"],
     The only randomness is the initial strategy draw (plus tie resolution in
     the "random" tie mode); the trajectory is otherwise deterministic.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    check("spd", {"max_rounds": max_rounds})
     if assignment.n != graph.n:
         raise ValueError("assignment does not cover the graph's nodes")
 

@@ -5,14 +5,80 @@ import sys
 import numpy as np
 import pytest
 
-from netsom import metrics, read_trace_csv, run_sir, write_trace_csv
+from netsom import (build_graph, compute_all, generate_cnn, generate_hk,
+                    init_sir, metrics, play_round, read_trace_csv,
+                    render_pie_lattice, run_sir, run_spd, train_som,
+                    update_strategies, write_trace_csv)
 from netsom.cli import main
+from netsom.config import CHOICES, RANGES
 from netsom.pipeline import (ConfigError, derive_seed, full_run,
-                             resolve_config, run_ensemble, sha256_file)
+                             resolve_config, run_ensemble, sha256_file,
+                             stage_categorize, stage_generate)
 from netsom.som import CellAssignment
 from conftest import live_descendants, random_connected_graph
 
 SMALL_CONFIG = {"seed": 5, "generate": {"model": "hk", "n": 250}}
+
+
+def path_graph(n):
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def one_cell(n):
+    return CellAssignment(width=1, height=1, x=np.zeros(n, dtype=np.int64),
+                          y=np.zeros(n, dtype=np.int64))
+
+
+SAMPLES = np.random.default_rng(0).random((10, 2))
+NO_STRATEGIES = np.zeros(4, dtype=np.int8)
+
+# per rule: a config patch that breaks it, onto a base that runs when valid,
+# and a call of the library function that reads the key, given an empty
+# directory; each RANGES and CHOICES key, then each rule relating two keys
+BAD_VALUES = {
+    "seed": ({"seed": -1}, lambda tmp: derive_seed(-1, 1)),
+    "generate.n": ({"generate": {"model": "cnn", "n": 0}},
+                   lambda tmp: generate_cnn(0)),
+    "generate.m": ({"generate": {"m": 0}}, lambda tmp: generate_hk(10, m=0)),
+    "generate.p_t": ({"generate": {"p_t": 1.5}}, lambda tmp: generate_hk(10, p_t=1.5)),
+    "generate.u": ({"generate": {"u": 1.0}}, lambda tmp: generate_cnn(10, u=1.0)),
+    "generate.model": ({"generate": {"model": "ba"}},
+                       lambda tmp: stage_generate(tmp / "g.edges", model="ba")),
+    "som.width": ({"som": {"width": 0}}, lambda tmp: train_som(SAMPLES, width=0)),
+    "som.height": ({"som": {"height": -2}}, lambda tmp: train_som(SAMPLES, height=-2)),
+    "som.epochs": ({"som": {"epochs": 0}}, lambda tmp: train_som(SAMPLES, epochs=0)),
+    "som.log_features": ({"som": {"log_features": ["k", "bb"]}},
+                         lambda tmp: stage_categorize(tmp / "f.csv", tmp / "g",
+                                                      log_features=["k", "bb"])),
+    "sir.lambda": ({"sir": {"lambda": -0.5}},
+                   lambda tmp: run_sir(path_graph(4), one_cell(4), lam=-0.5)),
+    "sir.mu": ({"sir": {"mu": 0}}, lambda tmp: run_sir(path_graph(4), one_cell(4), mu=0)),
+    "sir.dt": ({"sir": {"dt": 0}}, lambda tmp: run_sir(path_graph(4), one_cell(4), dt=0)),
+    "sir.initial": ({"sir": {"initial": 0}},
+                    lambda tmp: run_sir(path_graph(4), one_cell(4), n_initial=0)),
+    "sir.snapshot_every": ({"sir": {"snapshot_every": -1.0}},
+                           lambda tmp: run_sir(path_graph(4), one_cell(4),
+                                               snapshot_every=-1.0)),
+    "spd.T": ({"spd": {"T": 1}}, lambda tmp: play_round(path_graph(4), NO_STRATEGIES, T=1)),
+    "spd.eps": ({"spd": {"eps": 1}},
+                lambda tmp: play_round(path_graph(4), NO_STRATEGIES, eps=1)),
+    "spd.max_rounds": ({"spd": {"max_rounds": 0}},
+                       lambda tmp: run_spd(path_graph(4), one_cell(4), max_rounds=0)),
+    "spd.tie": ({"spd": {"tie": "rand"}},
+                lambda tmp: update_strategies(path_graph(4), NO_STRATEGIES,
+                                              np.zeros(4), tie="rand")),
+    "render.radius_mode": ({"render": {"radius_mode": "pop"}},
+                           lambda tmp: render_pie_lattice(np.ones((1, 1)), 1, 1, ("S",),
+                                                          radius_mode="pop")),
+    "generate.n >= 3": ({"generate": {"n": 2}},
+                        lambda tmp: compute_all(path_graph(2))),
+    "generate.n > generate.m": ({"generate": {"n": 4, "m": 4}},
+                                lambda tmp: generate_hk(4, m=4)),
+    "som.width * som.height >= 2": ({"som": {"width": 1, "height": 1}},
+                                    lambda tmp: train_som(SAMPLES, 1, 1)),
+    "sir.initial <= generate.n": ({"sir": {"initial": 121}},
+                                  lambda tmp: init_sir(path_graph(120), 121)),
+}
 
 
 def dir_digest(path):
@@ -404,6 +470,50 @@ class TestCli:
         assert main(["run", str(config), "-o", str(out)]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()  # failed before any stage
+
+    def test_bad_values_cover_every_rule(self):
+        assert set(RANGES) | set(CHOICES) <= set(BAD_VALUES)
+
+    @pytest.mark.parametrize("rule", list(BAD_VALUES))
+    def test_bad_value_exit_2_before_any_file(self, tmp_path, capsys, rule):
+        # the base is the config that once ran three stages before its
+        # "sir.dt": 0 failed
+        config = {"seed": 5, "generate": {"model": "hk", "n": 120}, "render": False}
+        patch, call = BAD_VALUES[rule]
+        for section, values in patch.items():
+            base = config.get(section)
+            config[section] = {**base, **values} if isinstance(base, dict) else values
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "report"
+        assert main(["run", str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+        path.unlink()
+        with pytest.raises(ValueError) as exc:
+            call(tmp_path)
+        assert str(exc.value) in err
+        assert not list(tmp_path.iterdir())
+        if rule in RANGES or rule in CHOICES:
+            assert err == f"netsom: config error: {exc.value}\n"
+            assert isinstance(exc.value, ConfigError)
+
+    @pytest.mark.parametrize("section", ["generate", "som"])
+    def test_needed_section_false_exit_2(self, tmp_path, capsys, section):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, section: False}))
+        out = tmp_path / "report"
+        assert main(["run", str(config), "-o", str(out)]) == 2
+        assert f"section {section!r} must be an object\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_stage_named_exit_3(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(SMALL_CONFIG))
+        out = tmp_path / "report"
+        (out / "hk.edges").mkdir(parents=True)  # the edge list cannot be written
+        assert main(["run", str(config), "-o", str(out)]) == 3
+        assert "stage generate failed" in capsys.readouterr().err
 
     def test_edge_beyond_node_header_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"

@@ -204,9 +204,11 @@ class TestSerialization:
         data = np.random.default_rng(9).random((80, 5))
         grid = _grid(5, 5, 5, seed=9)
         a = assign_nodes(grid, data)
+        a.x[a.linear() == 0] = 1  # cell (0, 0) is empty: its means are blank
         stats = cell_stats(a, data, feature_names=("k", "k_nn", "b", "L", "C"))
         p = tmp_path / "cells.csv"
         write_cell_stats_csv(stats, p)
+        assert p.read_text().splitlines()[1] == "0,0,0,,,,,"
         s2 = read_cell_stats_csv(p)
         assert np.array_equal(stats.counts, s2.counts)
         occ = ~stats.empty
