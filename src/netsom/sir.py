@@ -6,6 +6,10 @@ n_I counts its currently infectious neighbors at pick time, a picked
 infectious recovers with probability min(1, mu*dt), and removed agents never
 change. Time advances by dt per sweep and the run stops when no infectious
 agents remain.
+
+Every pick's agent and uniform are drawn, but only the picks whose uniform
+lies below the agent's reach, max(mu*dt, lambda*dt*degree), are walked: any
+other pick is a no-op whatever the states, so the trace is the same.
 """
 
 from __future__ import annotations
@@ -94,6 +98,13 @@ def run_sir(graph: Graph, assignment: CellAssignment,
     n_infected = n_initial
     lam_dt = lam * dt
     mu_dt = mu * dt
+    # a pick acts only if u < lam_dt * c (susceptible, c infectious
+    # neighbours) or u < mu_dt (infectious). c <= degree, and an IEEE product
+    # by a non-negative float is monotone in the other factor, so
+    # lam_dt * c <= lam_dt * degree, and a pick with u >= reach can never act.
+    # An agent of degree 0 is never infected, so its degree is floored at 1:
+    # that keeps inf * 0 = nan out of reach when lam * dt overflows
+    reach = np.maximum(mu_dt, lam_dt * np.maximum(graph.degrees, 1))
 
     cells = assignment.linear()
     trace = SimTrace(state_names=STATE_NAMES, width=assignment.width,
@@ -109,11 +120,17 @@ def run_sir(graph: Graph, assignment: CellAssignment,
     while n_infected > 0:
         row = sweep % chunk
         if row == 0:
-            picks = rng.integers(0, n, size=(chunk, n)).tolist()
-            draws = rng.random(size=(chunk, n)).tolist()
-        infections, recoveries = _sweep(states, nbrs, inf_cnt, picks[row],
-                                        draws[row], lam_dt, mu_dt)
-        n_infected += infections - recoveries
+            block = rng.integers(0, n, size=(chunk, n))
+            u = rng.random(size=(chunk, n))
+            live = u < reach[block]
+            picks, draws = block[live].tolist(), u[live].tolist()
+            ends = [0, *np.cumsum(live.sum(axis=1)).tolist()]
+        lo, hi = ends[row], ends[row + 1]
+        if lo < hi:  # a sweep with no live pick changes nothing
+            infections, recoveries = _sweep(states, nbrs, inf_cnt,
+                                            picks[lo:hi], draws[lo:hi],
+                                            lam_dt, mu_dt)
+            n_infected += infections - recoveries
         sweep += 1
         t = sweep * dt  # exact product avoids float accumulation drift
         passed = (t + 1e-9) / every  # multiples of every passed

@@ -2,10 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsom import (build_graph, generate_cnn, generate_hk, init_sir, run_sir,
                     write_trace_csv)
-from netsom.sir import I, R, S, _sweep
+from netsom.sir import STATE_NAMES, I, R, S, _sweep
+from netsom.simtrace import SimTrace
 from netsom.som import CellAssignment
 from conftest import random_connected_graph
 
@@ -46,6 +49,52 @@ BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 def adjacency_lists(g):
     return [g.neighbors(i).tolist() for i in range(g.n)]
+
+
+def cell_per_agent(n):
+    return CellAssignment(width=n, height=1, x=np.arange(n, dtype=np.int64),
+                          y=np.zeros(n, dtype=np.int64))
+
+
+def full_walk_trace(g, lam, mu, dt, n_initial, seed):
+    """run_sir's reference with one cell per agent and a snapshot per sweep:
+    the same seed split and (chunk, n) draw blocks, but _sweep walks every
+    pick of every row."""
+    init_seed, step_seed = np.random.SeedSequence(seed).spawn(2)
+    states = init_sir(g, n_initial, seed=init_seed).tolist()
+    rng = np.random.default_rng(step_seed)
+    nbrs = adjacency_lists(g)
+    inf_cnt = [sum(states[w] == I for w in nbrs[a]) for a in range(g.n)]
+    chunk = max(1, min(64, 65536 // g.n))
+    cells = np.arange(g.n)
+    trace = SimTrace(state_names=STATE_NAMES, width=g.n, height=1,
+                     time_label="t")
+    trace.record(0.0, states, cells)
+    sweep = 0
+    while I in states:
+        picks = rng.integers(0, g.n, size=(chunk, g.n)).tolist()
+        draws = rng.random(size=(chunk, g.n)).tolist()
+        for row_picks, row_draws in zip(picks, draws):
+            _sweep(states, nbrs, inf_cnt, row_picks, row_draws, lam * dt,
+                   mu * dt)
+            sweep += 1
+            trace.record(sweep * dt, states, cells)
+            if I not in states:
+                break
+    return trace, chunk
+
+
+def assert_full_walk_bytes(tmp_path, g, lam, mu, dt, n_initial, seed):
+    """Every agent's state after every sweep of run_sir equals the full
+    walk's, as trace bytes; returns (sweeps, chunk)."""
+    ref, chunk = full_walk_trace(g, lam, mu, dt, n_initial, seed)
+    trace = run_sir(g, cell_per_agent(g.n), lam=lam, mu=mu, dt=dt,
+                    n_initial=n_initial, seed=seed, snapshot_every=dt)
+    write_trace_csv(ref, tmp_path / "full.csv")
+    write_trace_csv(trace, tmp_path / "run.csv")
+    assert ((tmp_path / "run.csv").read_bytes()
+            == (tmp_path / "full.csv").read_bytes())
+    return len(ref.times) - 1, chunk
 
 
 def star_sweep(lam_dt, mu_dt, draw):
@@ -199,6 +248,32 @@ class TestRun:
                 run_sir(g, one_cell_assignment(3), n_initial=1, seed=0,
                         **{param: value})
 
+    # lambda=0 makes the reach mu*dt everywhere; lambda=20 at dt=0.01 makes
+    # it >= 1 on every agent of degree >= 5, so every pick of a hub is walked
+    @pytest.mark.parametrize("graph,lam,mu,dt,n_initial,seed", [
+        (lambda: generate_hk(150, m=3, p_t=0.5, seed=30), 0.5, 1.0, 0.05, 3,
+         31),
+        (lambda: generate_cnn(200, u=0.75, seed=32), 20.0, 1.0, 0.01, 1, 33),
+        (lambda: generate_cnn(120, u=0.75, seed=34), 0.0, 0.3, 0.07, 10, 35),
+        (lambda: random_connected_graph(np.random.default_rng(36), 90), 1.5,
+         1.0, 0.01, 2, 41),
+        (lambda: build_graph(2, [(0, 1)]), 0.2, 1.0, 0.01, 1, 38),
+        (lambda: build_graph(3, [(0, 1), (1, 2)]), 20.0, 0.3, 0.01, 1, 39),
+    ], ids=["hk", "cnn-hubs", "cnn-lambda-zero", "random", "two-node",
+            "three-node"])
+    def test_same_bytes_as_full_walk(self, tmp_path, graph, lam, mu, dt,
+                                     n_initial, seed):
+        sweeps, chunk = assert_full_walk_bytes(tmp_path, graph(), lam, mu, dt,
+                                               n_initial, seed)
+        assert sweeps > chunk  # the run draws more than one block
+
+    def test_isolated_agent_with_overflowing_lambda_dt(self, tmp_path):
+        # lambda*dt = inf, and agent 3 has no neighbours: its reach must not
+        # be inf * 0 = nan, or its recovery pick is never walked and the run
+        # never ends
+        g = build_graph(4, [(0, 1), (1, 2)])
+        assert_full_walk_bytes(tmp_path, g, 1e200, 1.0, 1e200, 4, 40)
+
     def test_two_node_oracle_small(self):
         # continuous-time limit: P(S infected before I recovers) = lam/(lam+mu);
         # the acceptance suite runs the full 20000-trial version
@@ -210,3 +285,18 @@ class TestRun:
             trace = run_sir(g, a, lam=0.2, mu=1.0, dt=0.01, n_initial=1, seed=s)
             hits += int(trace.counts[-1].sum(axis=1)[2] == 2)
         assert abs(hits / runs - 1 / 6) < 0.05
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+       st.integers(0, 10**5), st.data())
+def test_reach_bounds_every_infection_product(lam_dt, deg, data):
+    # run_sir skips a pick of a susceptible agent when u >= lam_dt * degree;
+    # that is exact only if lam_dt * c <= lam_dt * degree for every count
+    # c <= degree, in the Python floats _sweep compares against and in the
+    # numpy float64 product the reach is computed with
+    c = data.draw(st.integers(0, deg))
+    assert lam_dt * c <= lam_dt * deg
+    with np.errstate(over="ignore"):  # an overflow to inf is still a bound
+        products = lam_dt * np.array([c, deg], dtype=np.int64)
+    assert products.tolist() == [lam_dt * c, lam_dt * deg]
