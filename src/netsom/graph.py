@@ -57,19 +57,21 @@ class Graph:
         row = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         return row, self.indices.astype(np.int64)
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
+    def reached(self) -> np.ndarray:
+        """Boolean mask of the nodes that have a path from node 0."""
         seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        frontier = np.array([0], dtype=np.int64)
+        seen[:1] = True
+        frontier = np.flatnonzero(seen)
         while frontier.size:
             nxt = gather_rows(self.indptr, self.indices,
                               self.degrees[frontier], frontier)
             nxt = nxt[~seen[nxt]]
             seen[nxt] = True
             frontier = np.unique(nxt)
-        return bool(seen.all())
+        return seen
+
+    def is_connected(self) -> bool:
+        return bool(self.reached().all())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -7,10 +7,10 @@ BFS levels, each level scanned top-down from the frontier or bottom-up from
 the undiscovered nodes, whichever touches fewer edges. The pass runs on the
 graph without its degree-1 nodes, each core node weighted by one plus its
 number of leaves; the leaves' values follow exactly from their parents'.
-Every node needs an average path length, so a disconnected graph is
-rejected, naming a pair of nodes with no path between them. Core sources
-run in blocks of 512 on forked worker processes, so exact values stay
-tractable at 10^4 nodes.
+Every node needs an average path length, so connectivity is checked once,
+before the pass: a disconnected graph is rejected, naming node 0 and the
+lowest node with no path from it. Core sources run in blocks of 512 on
+forked worker processes, so exact values stay tractable at 10^4 nodes.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import CHOICES, fork_map
-from .graph import (Graph, finite_float, gather_rows, nonnegative_int,
-                    read_node_csv, write_text)
+from .graph import (Graph, build_graph, finite_float, gather_rows,
+                    nonnegative_int, read_node_csv, write_text)
 
 FEATURE_NAMES = CHOICES["som.log_features"]
 
@@ -96,6 +96,10 @@ def compute_all(graph: Graph) -> NodeFeatures:
     """
     if graph.n < 3:
         raise ValueError("feature vector needs at least 3 nodes")
+    reached = graph.reached()
+    if not reached.all():
+        raise ValueError(f"graph is disconnected: no path between nodes 0 "
+                         f"and {np.argmin(reached)}")
     raw, dist_sums = _brandes_all_sources(graph)
     return NodeFeatures(
         k=graph.degrees.copy(),
@@ -130,12 +134,11 @@ SOURCE_BLOCK = 512
 
 
 def _brandes_all_sources(graph: Graph):
-    """Returns (raw betweenness, per-node distance sums).
+    """Returns (raw betweenness, per-node distance sums) of a connected graph.
 
     raw[i] accumulates the Brandes dependency of every source on i, i.e. each
     unordered pair is counted twice. dist_sums[i] is sum_j d(i, j), an
-    integer. A disconnected graph raises, naming a pair (source, node) with
-    no connecting path.
+    integer.
 
     The pass runs on the leaf-pruned core (Baglioni et al. 2012; Sariyuce et
     al. 2013): core node v stands for itself and its ell(v) leaves, with
@@ -155,7 +158,7 @@ def _brandes_all_sources(graph: Graph):
     inherit the core through the fork rather than a pickle.
     """
     core, ids, ell, rep, is_leaf = _leaf_core(graph)
-    parts = fork_map(partial(_brandes_block, core, ell, ids),
+    parts = fork_map(partial(_brandes_block, core, ell),
                      range(0, core.n, SOURCE_BLOCK))
     n = graph.n
     raw = np.zeros(n)
@@ -167,32 +170,26 @@ def _brandes_all_sources(graph: Graph):
 def _leaf_core(graph: Graph):
     """The graph without its leaves: (core, ids, ell, rep, is_leaf).
 
-    A leaf is a degree-1 node whose neighbor, its parent, has degree >= 2.
-    A K2 component and isolated nodes stay, so the core is connected exactly
-    when the graph is. Core ids keep the original order, so CSR rows stay
-    sorted: ids[c] is core node c's original id and ell[c] its number of
-    leaves; rep[i] is the core id of node i, or of its parent for a leaf.
+    A leaf is a degree-1 node. The graph is connected with n >= 3, so a
+    leaf's one neighbor, its parent, is in the core, and the core is
+    connected. Core ids keep the original order: ids[c] is core node c's
+    original id and ell[c] its number of leaves; rep[i] is the core id of
+    node i, or of its parent for a leaf.
     """
-    deg = graph.degrees
-    ones = np.flatnonzero(deg == 1)
-    is_leaf = np.zeros(graph.n, dtype=bool)
-    is_leaf[ones[deg[graph.indices[graph.indptr[ones]]] > 1]] = True
+    is_leaf = graph.degrees == 1
     ids = np.flatnonzero(~is_leaf)
     rep = np.cumsum(~is_leaf) - 1
     rep[is_leaf] = rep[graph.indices[graph.indptr[:-1][is_leaf]]]
     ell = np.bincount(rep[is_leaf], minlength=ids.size)
-    src, dst = graph.directed_edges()
-    keep = ~(is_leaf[src] | is_leaf[dst])
-    indptr = np.zeros(ids.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rep[src[keep]], minlength=ids.size), out=indptr[1:])
-    return Graph(ids.size, indptr, rep[dst[keep]]), ids, ell, rep, is_leaf
+    edges = graph.edge_array()
+    core = build_graph(ids.size, rep[edges[~is_leaf[edges].any(axis=1)]])
+    return core, ids, ell, rep, is_leaf
 
 
-def _brandes_block(core: Graph, ell: np.ndarray, ids: np.ndarray, lo: int):
-    """Weighted raw betweenness of the core summed over core sources
-    lo..lo+SOURCE_BLOCK-1, and those sources' weighted distance sums less
-    Lambda (see :func:`_brandes_all_sources`); ``ids`` names the nodes of
-    the disconnected-graph error in original ids.
+def _brandes_block(core: Graph, ell: np.ndarray, lo: int):
+    """Weighted raw betweenness of the connected core summed over core
+    sources lo..lo+SOURCE_BLOCK-1, and those sources' weighted distance sums
+    less Lambda (see :func:`_brandes_all_sources`).
 
     Each BFS level is scanned from the cheaper side (Beamer et al. 2012):
     top-down gathers the frontier's rows and keeps undiscovered neighbors;
@@ -253,10 +250,6 @@ def _brandes_block(core: Graph, ell: np.ndarray, ids: np.ndarray, lo: int):
                 undiscovered = dist[flat] == -1
                 children = flat[undiscovered]
                 parents = np.repeat(frontier, counts)[undiscovered]
-            if children.size == 0:
-                missing = np.flatnonzero(dist < 0)
-                raise ValueError(f"graph is disconnected: no path between "
-                                 f"nodes {ids[s]} and {ids[missing[0]]}")
             add = np.bincount(children, weights=sigma[parents], minlength=n)
             sigma += add
             levels.append((parents, children))

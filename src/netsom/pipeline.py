@@ -59,8 +59,10 @@ def sha256_file(path: str | Path) -> str:
 
 
 def _write_meta(artifact: Path, stage: str, params: dict,
-                seed: int | None, inputs: list[Path],
+                seed: int | None, inputs: dict[str, str],
                 result: dict | None = None) -> None:
+    """The sidecar of ``artifact``; ``inputs`` maps each input's file name
+    to the digest that :func:`check_fresh` verified."""
     doc = {
         "tool": "netsom",
         "version": __version__,
@@ -68,7 +70,7 @@ def _write_meta(artifact: Path, stage: str, params: dict,
         "artifact": artifact.name,
         "params": params,
         "seed": seed,
-        "inputs": {p.name: sha256_file(p) for p in inputs},
+        "inputs": inputs,
         "output_sha256": sha256_file(artifact),
     }
     if result is not None:
@@ -77,22 +79,28 @@ def _write_meta(artifact: Path, stage: str, params: dict,
     write_text(meta_path, json.dumps(doc, sort_keys=True) + "\n")
 
 
-def check_fresh(path: str | Path) -> Path:
+def check_fresh(path: str | Path) -> str:
     """Reject an input whose bytes no longer match its recorded hash;
-    returns the input's path."""
+    returns the digest of the bytes checked, also of a hand-made input."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"missing input: {path}")
+    digest = sha256_file(path)
     meta_path = path.with_name(path.name + ".meta.json")
     if not meta_path.exists():
-        return path  # hand-made input; nothing recorded to check against
+        return digest  # hand-made input; nothing recorded to check against
     try:
         recorded = json.loads(meta_path.read_text(encoding="utf-8")).get("output_sha256")
     except (ValueError, AttributeError):
         raise ValueError(f"corrupt meta file {meta_path}: not a JSON object") from None
-    if recorded is not None and recorded != sha256_file(path):
+    if recorded is not None and recorded != digest:
         raise ValueError(f"stale input: {path} does not match its recorded hash")
-    return path
+    return digest
+
+
+def _fresh(*paths: str | Path) -> dict[str, str]:
+    """{file name: digest} of inputs that pass :func:`check_fresh`."""
+    return {Path(p).name: check_fresh(p) for p in paths}
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +120,17 @@ def stage_generate(out_path: str | Path, model: str = _GEN["model"],
         graph = generate_cnn(n, u=u, seed=seed)
         params = {"model": model, "n": n, "u": u}
     save_edge_list(graph, out_path)
-    _write_meta(out_path, "generate", params, seed, [],
+    _write_meta(out_path, "generate", params, seed, {},
                 result={"edges": graph.num_edges,
                         "mean_degree": graph.mean_degree})
     return graph
 
 
 def stage_metrics(edges_path: str | Path, out_path: str | Path) -> NodeFeatures:
-    edges_path, out_path = check_fresh(edges_path), Path(out_path)
+    inputs, out_path = _fresh(edges_path), Path(out_path)
     features = compute_all(load_edge_list(edges_path))
     write_features_csv(features, out_path)
-    _write_meta(out_path, "metrics", {}, None, [edges_path])
+    _write_meta(out_path, "metrics", {}, None, inputs)
     return features
 
 
@@ -133,7 +141,7 @@ def stage_categorize(features_path: str | Path, out_prefix: str | Path,
     """Normalize, train the lattice, assign nodes, and write the three
     artifacts: <prefix>.assign.csv, <prefix>.cells.csv, <prefix>.som.json."""
     check("som", {"log_features": log_features})
-    features_path = check_fresh(features_path)
+    inputs = _fresh(features_path)
     features = read_features_csv(features_path)
     mat = apply_log_columns(features.as_matrix(),
                             tuple(map(FEATURE_NAMES.index, log_features)))
@@ -154,8 +162,7 @@ def stage_categorize(features_path: str | Path, out_prefix: str | Path,
               "log_features": list(log_features)}
     result = {"qe_initial": grid.qe_initial, "qe_final": grid.qe_final}
     for p in (assign_path, cells_path, som_path):
-        _write_meta(p, "categorize", params, seed, [features_path],
-                    result=result)
+        _write_meta(p, "categorize", params, seed, inputs, result=result)
     return grid, assignment, stats
 
 
@@ -201,7 +208,7 @@ def stage_keywords(params: dict) -> dict:
 def _simulate(name: str, edges_path: str | Path, assign_path: str | Path,
               out_path: str | Path, seed: int, params: dict) -> SimTrace:
     """Shared body of the simulate stages; ``params`` uses config keys."""
-    edges_path, assign_path = check_fresh(edges_path), check_fresh(assign_path)
+    inputs = _fresh(edges_path, assign_path)
     graph, assignment = load_edge_list(edges_path), read_assignment_csv(assign_path)
     if assignment.n != graph.n:
         raise ValueError(f"{assign_path} assigns {assignment.n} nodes but "
@@ -209,20 +216,20 @@ def _simulate(name: str, edges_path: str | Path, assign_path: str | Path,
     trace = globals()[f"run_{name}"](graph, assignment, seed=seed,
                                      **stage_keywords(params))
     write_trace_csv(trace, out_path)
-    _write_meta(Path(out_path), f"simulate-{name}", params, seed,
-                [edges_path, assign_path], result=SIMULATIONS[name][0](trace))
+    _write_meta(Path(out_path), f"simulate-{name}", params, seed, inputs,
+                result=SIMULATIONS[name][0](trace))
     return trace
 
 
 def stage_render_heatmap(cells_path: str | Path, out_path: str | Path) -> None:
-    cells_path = check_fresh(cells_path)
+    inputs = _fresh(cells_path)
     _write_svg(out_path, render_heatmaps(read_cell_stats_csv(cells_path)),
-               "render-heatmap", {}, cells_path)
+               "render-heatmap", {}, inputs)
 
 
 def stage_render_pies(trace_path: str | Path, out_path: str | Path, t: float,
                       radius_mode: str = _RADIUS_MODE) -> None:
-    trace_path = check_fresh(trace_path)
+    inputs = _fresh(trace_path)
     trace = read_trace_csv(trace_path)
     idx = trace.nearest_index(t)
     svg = render_pie_lattice(trace.counts[idx], trace.width, trace.height,
@@ -230,26 +237,26 @@ def stage_render_pies(trace_path: str | Path, out_path: str | Path, t: float,
                              radius_mode=radius_mode,
                              time_label=trace.time_label)
     _write_svg(out_path, svg, "render-pies",
-               {"t": t, "radius_mode": radius_mode}, trace_path)
+               {"t": t, "radius_mode": radius_mode}, inputs)
 
 
 def stage_render_timeline(trace_path: str | Path, out_path: str | Path,
                           times: list[float] | None,
                           radius_mode: str = _RADIUS_MODE) -> None:
-    trace_path = check_fresh(trace_path)
+    inputs = _fresh(trace_path)
     trace = read_trace_csv(trace_path)
     if times is None:
         times = default_timeline_times(trace)
     svg = render_timeline(trace, times, radius_mode=radius_mode)
     _write_svg(out_path, svg, "render-timeline",
-               {"times": times, "radius_mode": radius_mode}, trace_path)
+               {"times": times, "radius_mode": radius_mode}, inputs)
 
 
 def _write_svg(out_path: str | Path, svg: str, stage: str, params: dict,
-               in_path: Path) -> None:
+               inputs: dict[str, str]) -> None:
     """Shared tail of the render stages: the figure, then its meta file."""
     write_text(out_path, svg)
-    _write_meta(Path(out_path), stage, params, None, [in_path])
+    _write_meta(Path(out_path), stage, params, None, inputs)
 
 
 def default_timeline_times(trace: SimTrace) -> list[float]:

@@ -46,7 +46,9 @@ def update_strategies(graph: Graph, strategies: np.ndarray,
     """Synchronous imitation of the wealthiest neighbor.
 
     Agents whose own payoff is >= every neighbor's keep their strategy;
-    isolated agents always keep theirs.
+    isolated agents always keep theirs. An adopting agent copies its
+    rank-th neighbor, in id order, among those at the row maximum: rank 0
+    under "min_id", else one ``rng.integers(0, counts)`` in agent id order.
     """
     check("spd", {"tie": tie})
     n = graph.n
@@ -60,25 +62,22 @@ def update_strategies(graph: Graph, strategies: np.ndarray,
     # reduce only over nonempty rows; their starts are strictly increasing,
     # which keeps reduceat segments aligned with adjacency rows
     nonempty = np.flatnonzero(deg > 0)
-    starts = indptr[nonempty].astype(np.int64)
     nbr_max = np.full(n, -np.inf)
-    nbr_max[nonempty] = np.maximum.reduceat(flat, starts)
-    adopt = payoffs < nbr_max
+    nbr_max[nonempty] = np.maximum.reduceat(flat, indptr[nonempty])
+    adopt = np.flatnonzero(payoffs < nbr_max)
 
+    # hits[k]: adjacency slots before k that hold their row's maximum
+    hits = np.zeros(flat.size + 1, dtype=np.int64)
+    np.cumsum(flat == np.repeat(nbr_max, deg), out=hits[1:])
+    before = hits[indptr[adopt]]
     if tie == "min_id":
-        # among neighbors achieving the max, the smallest id wins
-        at_max = flat == np.repeat(nbr_max[nonempty], deg[nonempty])
-        masked_ids = np.where(at_max, indices.astype(np.int64), n)
-        chosen = np.full(n, n, dtype=np.int64)
-        chosen[nonempty] = np.minimum.reduceat(masked_ids, starts)
-        new[adopt] = strategies[chosen[adopt]]
+        rank = 0
+    elif rng is None:
+        raise ValueError("tie='random' needs an rng")
     else:
-        if rng is None:
-            raise ValueError("tie='random' needs an rng")
-        for i in np.flatnonzero(adopt):
-            row = indices[indptr[i]:indptr[i + 1]]
-            best = row[payoffs[row] == payoffs[row].max()]
-            new[i] = strategies[best[rng.integers(best.size)]]
+        rank = rng.integers(0, hits[indptr[adopt + 1]] - before)
+    chosen = indices[np.searchsorted(hits, before + rank + 1) - 1]
+    new[adopt] = strategies[chosen]
     return new
 
 

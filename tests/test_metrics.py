@@ -134,6 +134,14 @@ def _with_leaves(graph, rng, leaves):
     return build_graph(graph.n + leaves, e)
 
 
+# (edges, n, the pair the error names): node 0 and the lowest unreached node
+DISCONNECTED = [
+    ([(0, 1), (2, 3), (3, 4), (2, 4)], 5, (0, 2)),
+    ([(0, 1), (0, 2), (0, 3), (0, 4)], 6, (0, 5)),
+    ([(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (4, 6)], 7, (0, 4)),
+]
+
+
 class TestLeafPruning:
     """Degree-1 nodes leave the Brandes pass and come back through their
     parent's weight; distance sums stay integers, so L is exact."""
@@ -159,11 +167,9 @@ class TestLeafPruning:
             g = _with_leaves(core, rng, int(rng.integers(1, 7)))
             self.check(g)
 
-    @pytest.mark.parametrize("edges, n, pair", [
-        ([(0, 1), (2, 3), (3, 4), (2, 4)], 5, (0, 2)),
-        ([(0, 1), (0, 2), (0, 3), (0, 4)], 6, (0, 5)),
-        ([(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (4, 6)], 7, (1, 4)),
-    ], ids=["K2_beside_triangle", "star_and_isolated_node", "star_of_leaf_0"])
+    @pytest.mark.parametrize("edges, n, pair", DISCONNECTED,
+                             ids=["K2_beside_triangle", "star_and_isolated_node",
+                                  "star_of_leaf_0"])
     def test_disconnected_raises_with_original_ids(self, edges, n, pair):
         with pytest.raises(ValueError, match="no path between") as exc:
             compute_all(build_graph(n, edges))
@@ -293,6 +299,17 @@ class TestSourceBlocks:
         assert (g.degrees == 1).any()
         assert self.disconnected_messages(g, monkeypatch) == [
             "graph is disconnected: no path between nodes 0 and 150"] * 2
+
+    def test_connectivity_checked_before_the_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Brandes pass ran")
+        monkeypatch.setattr(metrics, "_brandes_block", refuse)
+        cases = [(build_graph(n, edges), pair) for edges, n, pair in DISCONNECTED]
+        cases += [(_two_copies(generate_hk(150, m=3, p_t=0.5, seed=4)), (0, 150)),
+                  (_two_copies(generate_cnn(150, u=0.75, seed=4)), (0, 150))]
+        for g, (a, b) in cases:
+            assert self.disconnected_messages(g, monkeypatch) == [
+                f"graph is disconnected: no path between nodes {a} and {b}"] * 2
 
 
 class TestNetworkxOracle:

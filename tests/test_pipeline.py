@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from netsom import (build_graph, compute_all, generate_cnn, generate_hk,
                     init_sir, metrics, play_round, read_trace_csv,
                     render_pie_lattice, run_sir, run_spd, train_som,
                     update_strategies, write_trace_csv)
+from netsom import pipeline
 from netsom.cli import main
 from netsom.config import CHOICES, RANGES
 from netsom.pipeline import (ConfigError, derive_seed, full_run,
@@ -201,6 +203,25 @@ class TestFullRun:
         assert meta["output_sha256"] == sha256_file(out / "sir_trace.csv")
         assert meta["params"]["lambda"] == 0.2
         assert meta["seed"] == derive_seed(5, 3)
+
+    def test_each_stage_hashes_each_input_once(self, tmp_path, monkeypatch):
+        hashed = []
+        real = pipeline.sha256_file
+        monkeypatch.setattr(pipeline, "sha256_file",
+                            lambda path: hashed.append(Path(path).name) or real(path))
+        full_run(SMALL_CONFIG, tmp_path / "r", echo=lambda *_: None)
+        # once as its stage's output, then once per stage that reads it
+        assert hashed.count("hk.edges") == 4  # metrics, sir, spd
+        assert hashed.count("features.csv") == 2  # categorize
+        assert hashed.count("hk.assign.csv") == 3  # sir, spd
+        assert hashed.count("sir_trace.csv") == 3  # timeline, pies
+
+    def test_hand_made_input_digest_in_meta(self, tmp_path):
+        edges = tmp_path / "g.edges"
+        edges.write_text("0 1\n1 2\n2 0\n")
+        pipeline.stage_metrics(edges, tmp_path / "f.csv")
+        meta = json.loads((tmp_path / "f.csv.meta.json").read_text())
+        assert meta["inputs"] == {"g.edges": sha256_file(edges)}
 
     def test_stale_input_detected(self, tmp_path):
         out = tmp_path / "r"

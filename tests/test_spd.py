@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import netsom.spd
-from netsom import build_graph, init_spd, play_round, run_spd, update_strategies
+from netsom import (build_graph, generate_cnn, generate_hk, init_spd,
+                    play_round, run_spd, update_strategies)
 from netsom.spd import C, D
 from netsom.som import CellAssignment
 from conftest import random_connected_graph
@@ -136,6 +137,74 @@ class TestUpdate:
         assert picks == {C, D}  # both candidates reachable
         with pytest.raises(ValueError):
             update_strategies(g, s, payoffs, tie="random")
+
+
+def loop_random_update(graph, strategies, payoffs, rng):
+    """The random tie mode as a per-agent loop: each adopting agent, in
+    ascending id, copies one of its neighbors at the row maximum drawn with
+    ``rng.integers(best.size)``."""
+    new = strategies.copy()
+    for i in range(graph.n):
+        row = graph.neighbors(i)
+        if row.size == 0 or payoffs[i] >= payoffs[row].max():
+            continue
+        best = row[payoffs[row] == payoffs[row].max()]
+        new[i] = strategies[best[rng.integers(best.size)]]
+    return new
+
+
+class TestRandomTieDifferential:
+    """The vectorized random tie mode against the per-agent loop: the same
+    strategies, and the same generator state afterwards."""
+
+    @staticmethod
+    def check(g, s, payoffs, seed):
+        want_rng, got_rng = (np.random.default_rng(seed) for _ in range(2))
+        want = loop_random_update(g, s, payoffs, want_rng)
+        got = update_strategies(g, s, payoffs, tie="random", rng=got_rng)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_integer_payoffs_on_random_graphs(self):
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            g = random_connected_graph(rng, int(rng.integers(2, 60)))
+            s = (rng.random(g.n) < 0.5).astype(np.int8)
+            # few payoff values, so most rows tie at their maximum
+            payoffs = rng.integers(0, 3, g.n).astype(np.float64)
+            self.check(g, s, payoffs, trial)
+
+    @pytest.mark.parametrize("g", [
+        build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]),
+        build_graph(4, [(0, 1), (1, 2)]),
+        build_graph(3, []),
+    ], ids=["star", "isolated_node", "edgeless"])
+    def test_small_graphs(self, g):
+        rng = np.random.default_rng(22)
+        for trial in range(20):
+            s = (rng.random(g.n) < 0.5).astype(np.int8)
+            self.check(g, s, play_round(g, s, T=2.0, eps=0.0), trial)
+
+    @pytest.mark.parametrize("g", [generate_hk(400, m=3, p_t=0.5, seed=1),
+                                   generate_cnn(400, u=0.75, seed=1)],
+                             ids=["hk", "cnn"])
+    def test_generated_graphs(self, g):
+        rng = np.random.default_rng(23)
+        for T, eps in ((2.0, 0.0), (1.5, 0.0), (1.5, 0.25)):
+            s = (rng.random(g.n) < 0.5).astype(np.int8)
+            for trial in range(5):
+                self.check(g, s, play_round(g, s, T=T, eps=eps), trial)
+
+    def test_run_spd_trace(self, monkeypatch):
+        g = generate_cnn(300, u=0.75, seed=3)
+        a = one_cell_assignment(g.n)
+        got = run_spd(g, a, T=2.0, seed=4, tie="random")
+        monkeypatch.setattr(netsom.spd, "update_strategies",
+                            lambda graph, s, p, tie, rng:
+                            loop_random_update(graph, s, p, rng))
+        want = run_spd(g, a, T=2.0, seed=4, tie="random")
+        assert got.times == want.times and len(got.times) > 2
+        assert all(np.array_equal(x, y) for x, y in zip(got.counts, want.counts))
 
 
 def start_all(monkeypatch, strategy):
