@@ -80,9 +80,6 @@ class Graph:
                 and np.array_equal(self.indptr, other.indptr)
                 and np.array_equal(self.indices, other.indices))
 
-    def __hash__(self):  # identity hash; graphs are compared with == explicitly
-        return id(self)
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
@@ -90,12 +87,10 @@ class Graph:
 def gather_rows(indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray,
                 nodes: np.ndarray) -> np.ndarray:
     """Concatenated CSR rows for ``nodes`` (duplicates preserved, in order)
-    without a Python-level loop; ``counts`` must equal their row lengths."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
+    without a Python-level loop; ``counts`` must equal their row lengths.
+    No nodes, or rows all empty, give an empty array of ``indices.dtype``."""
     cum = np.cumsum(counts)
-    flat = np.arange(total, dtype=np.int64)
+    flat = np.arange(int(counts.sum()), dtype=np.int64)
     flat += np.repeat(indptr[nodes] - (cum - counts), counts)
     return indices[flat]
 

@@ -191,14 +191,15 @@ def _brandes_block(core: Graph, ell: np.ndarray, lo: int):
     sources lo..lo+SOURCE_BLOCK-1, and those sources' weighted distance sums
     less Lambda (see :func:`_brandes_all_sources`).
 
-    Each BFS level is scanned from the cheaper side (Beamer et al. 2012):
-    top-down gathers the frontier's rows and keeps undiscovered neighbors;
-    bottom-up gathers the undiscovered nodes' rows and keeps neighbors on
-    the frontier, once the frontier's degree sum exceeds the undiscovered
-    nodes' degree sum plus their count. Both list a level's DAG edges with
-    each child's parents ascending and each parent's children ascending
-    (CSR rows are sorted, frontiers ascending), so the order-dependent
-    bincount sums, and the output bits, do not depend on the direction.
+    Each BFS level is scanned from the cheaper side (Beamer et al. 2012),
+    by one gather: top-down gathers the frontier's rows and keeps
+    undiscovered neighbors; bottom-up, once the frontier's degree sum
+    exceeds the undiscovered nodes' degree sum plus their count, gathers
+    the undiscovered nodes' rows and keeps neighbors on the frontier, with
+    the edge ends swapped. Both list a level's DAG edges with each child's
+    parents ascending and each parent's children ascending (CSR rows are
+    sorted, frontiers ascending), so the order-dependent bincount sums, and
+    the output bits, do not depend on the direction.
 
     The leaves cost no per-level work: delta starts at ell and the
     recursion's (1 + delta[child]) stays, so each child w contributes
@@ -237,19 +238,15 @@ def _brandes_block(core: Graph, ell: np.ndarray, lo: int):
         levels: list[tuple[np.ndarray, np.ndarray]] = []
 
         while left:
-            if frontier_deg > left_deg + left:
+            up = frontier_deg > left_deg + left
+            if up:
                 rest = (np.flatnonzero(dist == -1) if rest is None
                         else rest[dist[rest] == -1])
-                rest_counts = deg[rest]
-                flat = gather_rows(indptr, indices, rest_counts, rest)
-                hit = dist[flat] == len(levels)
-                parents = flat[hit]
-                children = np.repeat(rest, rest_counts)[hit]
-            else:
-                flat = gather_rows(indptr, indices, counts, frontier)
-                undiscovered = dist[flat] == -1
-                children = flat[undiscovered]
-                parents = np.repeat(frontier, counts)[undiscovered]
+            rows, row_counts = (rest, deg[rest]) if up else (frontier, counts)
+            flat = gather_rows(indptr, indices, row_counts, rows)
+            hit = dist[flat] == (len(levels) if up else -1)
+            near, far = np.repeat(rows, row_counts)[hit], flat[hit]
+            parents, children = (far, near) if up else (near, far)
             add = np.bincount(children, weights=sigma[parents], minlength=n)
             sigma += add
             levels.append((parents, children))

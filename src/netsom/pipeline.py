@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, DEFAULT_CONFIG, resolve_config,  # noqa: F401 - re-exported
-                     check, fork_map, thread_cap, worker_count)
+                     check, fork_map, thread_cap)
 from .generators import generate_cnn, generate_hk
 from .graph import Graph, load_edge_list, save_edge_list, write_text
 from .metrics import (FEATURE_NAMES, NodeFeatures, compute_all,
@@ -260,9 +260,10 @@ def _write_svg(out_path: str | Path, svg: str, stage: str, params: dict,
 
 
 def default_timeline_times(trace: SimTrace) -> list[float]:
-    """Evenly spaced snapshot times from start to terminal, at most six."""
-    if len(trace.times) <= 6:
-        return list(trace.times)
+    """Evenly spaced snapshot times from start to terminal, at most six: six
+    rounded linspace points over the indices, which take every time of a
+    trace of up to six snapshots (the points lie at most one index apart and
+    never on a .5 tie)."""
     idx = np.linspace(0, len(trace.times) - 1, 6).round().astype(int)
     return [trace.times[i] for i in sorted(set(int(i) for i in idx))]
 
@@ -370,16 +371,14 @@ def run_ensemble(config: dict, outdir: str | Path, runs: int,
 
     Run i derives its master seed from the config seed and i, so ensembles
     are reproducible and order-independent. NETSOM_THREADS caps the worker
-    processes; parallel runs split the cap between their metrics stages,
-    run quietly, and are reported one line each once all are done.
+    processes, and parallel runs split the cap between their metrics
+    stages. Every run is quiet; one line per run is echoed once all are
+    done, so the output is the same on any worker count.
     """
     cfg = resolve_config(config)
     jobs = [({**config, "seed": derive_seed(cfg["seed"], 9, i)},
              Path(outdir) / f"run_{i:03d}") for i in range(runs)]
-    quiet = worker_count(runs) > 1
-    run_echo = (lambda *_: None) if quiet else echo
-    results = fork_map(lambda job: full_run(*job, echo=run_echo), jobs)
-    if quiet:
-        for i, r in enumerate(results):
-            echo(f"run_{i:03d}: done (seed {r['seed']})")
+    results = fork_map(lambda job: full_run(*job, echo=lambda *_: None), jobs)
+    for i, r in enumerate(results):
+        echo(f"run_{i:03d}: done (seed {r['seed']})")
     return results

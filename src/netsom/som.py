@@ -261,12 +261,9 @@ def write_cell_stats_csv(stats: CellStats, path: str | Path) -> None:
     rows = [f"X,Y,count,{cols}\n"]
     for lin in range(stats.width * stats.height):
         x, y = lin % stats.width, lin // stats.width
-        if stats.counts[lin] == 0:
-            blanks = "," * len(stats.feature_names)
-            rows.append(f"{x},{y},0{blanks}\n")
-        else:
-            vals = ",".join(f"{v:.17g}" for v in stats.means[lin])
-            rows.append(f"{x},{y},{stats.counts[lin]},{vals}\n")
+        count = stats.counts[lin]
+        vals = ",".join(f"{v:.17g}" if count else "" for v in stats.means[lin])
+        rows.append(f"{x},{y},{count},{vals}\n")
     write_text(path, "".join(rows))
 
 

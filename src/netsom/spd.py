@@ -56,8 +56,6 @@ def update_strategies(graph: Graph, strategies: np.ndarray,
     indptr, indices = graph.indptr, graph.indices
     flat = payoffs[indices]
     new = strategies.copy()
-    if flat.size == 0:
-        return new
 
     # reduce only over nonempty rows; their starts are strictly increasing,
     # which keeps reduceat segments aligned with adjacency rows
@@ -99,7 +97,7 @@ def run_spd(graph: Graph, assignment: CellAssignment, T: float = _SPD["T"],
 
     init_seed, tie_seed = np.random.SeedSequence(seed).spawn(2)
     strategies = init_spd(graph, seed=init_seed)
-    tie_rng = np.random.default_rng(tie_seed) if tie == "random" else None
+    tie_rng = np.random.default_rng(tie_seed)
 
     cells = assignment.linear()
     trace = SimTrace(state_names=STATE_NAMES, width=assignment.width,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsom import build_graph, load_edge_list, save_edge_list
+from netsom.graph import gather_rows
 
 
 def test_build_path_graph():
@@ -170,3 +171,21 @@ def test_reached_marks_the_component_of_node_0():
     assert g.reached().tolist() == [True, False, False, True, True]
     assert build_graph(0, []).reached().size == 0
     assert build_graph(0, []).is_connected()
+
+
+def test_equal_graphs_are_unhashable():
+    # __eq__ compares structure, so an identity hash would break the hash
+    # contract for two equal graphs
+    with pytest.raises(TypeError):
+        hash(build_graph(3, [(0, 1)]))
+    assert build_graph(3, [(0, 1)]) == build_graph(3, [(1, 0)])
+
+
+def test_gather_rows_of_nothing_is_empty():
+    g = build_graph(4, [(0, 1)])
+    for nodes in (np.empty(0, dtype=np.int64), np.array([2, 3, 2])):
+        flat = gather_rows(g.indptr, g.indices, g.degrees[nodes], nodes)
+        assert flat.size == 0 and flat.dtype == np.int32
+    nodes = np.array([3, 1, 0, 1])
+    flat = gather_rows(g.indptr, g.indices, g.degrees[nodes], nodes)
+    assert flat.tolist() == [0, 1, 0]

@@ -13,9 +13,10 @@ from netsom import (build_graph, compute_all, generate_cnn, generate_hk,
 from netsom import pipeline
 from netsom.cli import main
 from netsom.config import CHOICES, RANGES
-from netsom.pipeline import (ConfigError, derive_seed, full_run,
-                             resolve_config, run_ensemble, sha256_file,
-                             stage_categorize, stage_generate)
+from netsom.pipeline import (ConfigError, default_timeline_times, derive_seed,
+                             full_run, resolve_config, run_ensemble,
+                             sha256_file, stage_categorize, stage_generate)
+from netsom.simtrace import SimTrace
 from netsom.som import CellAssignment
 from conftest import live_descendants, random_connected_graph
 
@@ -101,6 +102,15 @@ class TestTraceCsv:
         assert back.times == trace.times
         assert back.time_label == "t"
         assert all(np.array_equal(x, y) for x, y in zip(back.counts, trace.counts))
+
+
+class TestTimelineTimes:
+    @pytest.mark.parametrize("snapshots", range(1, 8))
+    def test_every_time_up_to_six_then_six_spread(self, snapshots):
+        times = [0.5 * i for i in range(snapshots)]
+        trace = SimTrace(state_names=("S",), width=1, height=1, times=times)
+        picked = times if snapshots <= 6 else [0.0, 0.5, 1.0, 2.0, 2.5, 3.0]
+        assert default_timeline_times(trace) == picked
 
 
 class TestSeeds:
@@ -259,6 +269,17 @@ class TestFullRun:
             assert not live_descendants()
             digests.append([dir_digest(out / f"run_00{i}") for i in range(2)])
         assert digests[0] == digests[1]
+
+    def test_ensemble_echo_same_for_any_worker_count(self, tmp_path, monkeypatch):
+        lines = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NETSOM_THREADS", threads)
+            echoed = []
+            run_ensemble(dict(SMALL_CONFIG, sir=False, spd=False, render=False),
+                         tmp_path / threads, 2, echo=echoed.append)
+            lines.append(echoed)
+        assert lines[0] == lines[1]
+        assert [line.split(":")[0] for line in lines[0]] == ["run_000", "run_001"]
 
     def test_ensemble_runs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NETSOM_THREADS", "1")

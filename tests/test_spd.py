@@ -122,6 +122,12 @@ class TestUpdate:
         out = update_strategies(g, s, p)
         assert out[2] == C
 
+    def test_edgeless_graph_keeps_every_strategy(self):
+        g = build_graph(3, [])
+        s = np.array([C, D, C], dtype=np.int8)
+        out = update_strategies(g, s, play_round(g, s))
+        assert out.tolist() == s.tolist() and out is not s
+
     def test_random_tie_mode(self):
         g = build_graph(8, [(5, 3), (5, 7), (3, 0), (7, 0)])
         s = np.zeros(8, dtype=np.int8)
@@ -137,6 +143,8 @@ class TestUpdate:
         assert picks == {C, D}  # both candidates reachable
         with pytest.raises(ValueError):
             update_strategies(g, s, payoffs, tie="random")
+        with pytest.raises(ValueError):  # an edgeless graph too
+            update_strategies(build_graph(8, []), s, payoffs, tie="random")
 
 
 def loop_random_update(graph, strategies, payoffs, rng):
