@@ -160,22 +160,19 @@ def thread_cap() -> int:
     return value
 
 
-def worker_count(jobs: int) -> int:
-    """Workers for ``jobs`` independent jobs under the cap (at least 1)."""
-    return max(1, min(jobs, thread_cap()))
-
-
 def fork_map(fn, jobs) -> list:
-    """``[fn(job) for job in jobs]``, in this process when the cap allows one
-    worker, else on forked workers that inherit ``fn`` and ``jobs``: only an
-    index is pickled down and a result back. Each worker's NETSOM_THREADS is
-    its share of the cap, so a pool that a job starts stays within it."""
-    workers = worker_count(len(jobs))
+    """``[fn(job) for job in jobs]`` on one worker per job up to the
+    NETSOM_THREADS cap (at least one): in this process when that is one,
+    else on forked workers that inherit ``fn`` and ``jobs``: only an index
+    is pickled down and a result back. Each worker's NETSOM_THREADS is its
+    share of the cap, so a pool that a job starts stays within it."""
+    cap = thread_cap()
+    workers = max(1, min(len(jobs), cap))
     if workers == 1:
         return [fn(job) for job in jobs]
     import multiprocessing  # here, so that importing netsom does not pay for
     from concurrent import futures  # a pool a one-worker run never starts
-    share = max(1, thread_cap() // workers)
+    share = max(1, cap // workers)
     fork = multiprocessing.get_context("fork")
     with futures.ProcessPoolExecutor(workers, mp_context=fork, initializer=_forked,
                                      initargs=(fn, jobs, share)) as pool:

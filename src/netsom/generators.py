@@ -2,7 +2,9 @@
 formation, and connecting-nearest-neighbor growth via potential links.
 
 Both generators are seeded and deterministic, emit contiguous 0-based ids,
-and return simple connected graphs.
+and return simple connected graphs. A preferential-attachment draw that hits
+the arriving node or a node it already links is redrawn, so each arriving HK
+node gets exactly m edges.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ConfigError, check
 from .graph import Graph, build_graph
 
-# Resampling budget when a preferential-attachment draw hits the arriving
-# node or an already-chosen target; after that the edge is skipped.
-_PA_RETRIES = 100
 _GEN = DEFAULT_CONFIG["generate"]
 
 
@@ -27,7 +26,11 @@ def generate_hk(n: int, m: int = _GEN["m"], p_t: float = _GEN["p_t"],
     triad-formation step with probability ``p_t`` (link to a uniformly random
     not-yet-linked neighbor of the previously chosen target), otherwise
     another preferential-attachment step. A triad step with no eligible
-    candidate falls back to preferential attachment.
+    candidate falls back to preferential attachment. A preferential draw
+    that hits the newcomer or a node it already links is redrawn: the
+    newcomer links at most m - 1 of its >= m + 1 predecessors, each of
+    degree >= m, so an eligible stub always exists and every arriving node
+    gets exactly m edges.
 
     Args:
         n: total node count, must satisfy n > m.
@@ -63,14 +66,10 @@ def generate_hk(n: int, m: int = _GEN["m"], p_t: float = _GEN["p_t"],
                 cands = [w for w in adj[prev] if w != v and w not in linked]
                 if cands:
                     target = cands[rng.integers(len(cands))]
-            if target is None:
-                for _ in range(_PA_RETRIES):
-                    cand = stubs[rng.integers(len(stubs))]
-                    if cand != v and cand not in linked:
-                        target = cand
-                        break
-            if target is None:
-                continue  # could not place this edge distinctly; place the rest
+            while target is None:
+                cand = stubs[rng.integers(len(stubs))]
+                if cand != v and cand not in linked:
+                    target = cand
             link(v, target)
             prev = target
 
@@ -92,19 +91,12 @@ def generate_cnn(n: int, u: float = _GEN["u"], seed: int | None = None) -> Graph
         u: conversion probability, strictly inside (0, 1).
         seed: RNG seed; same seed reproduces the identical edge set.
     """
-    edges, _ = _grow_cnn(n, u, np.random.default_rng(seed))
-    return build_graph(n, edges)
-
-
-def _grow_cnn(n: int, u: float,
-              rng: np.random.Generator) -> tuple[list[tuple[int, int]], int]:
-    """CNN growth loop; returns (edges, successful conversion count)."""
     check("generate", {"n": n, "u": u})
+    rng = np.random.default_rng(seed)
 
     adj: list[dict[int, None]] = [{} for _ in range(n)]  # ordered neighbor sets
     edges: list[tuple[int, int]] = []
     potential: list[tuple[int, int]] = []
-    conversions = 0
     nodes = 1
 
     def link(a: int, b: int) -> None:
@@ -122,7 +114,6 @@ def _grow_cnn(n: int, u: float,
             a, b = pair
             if b not in adj[a]:
                 link(a, b)
-                conversions += 1
         else:
             w = nodes
             t = int(rng.integers(nodes))
@@ -132,4 +123,5 @@ def _grow_cnn(n: int, u: float,
             link(w, t)
             nodes += 1
 
-    return edges, conversions
+    del adj, potential  # freed before the CSR build, the generator's memory peak
+    return build_graph(n, edges)

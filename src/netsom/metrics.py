@@ -153,6 +153,9 @@ def _brandes_all_sources(graph: Graph):
       the pairs from a leaf of v to every node but v and itself;
     - leaf u: dist_sum(u) = dist_sum(p) + n - 2, and raw(u) = 0.
 
+    So every core source's delta_s is scaled by omega(s), exactly by 1 for
+    a source without leaves.
+
     Blocks of SOURCE_BLOCK core sources run through :func:`fork_map`, on as
     many forked workers as the NETSOM_THREADS cap allows; the workers
     inherit the core through the fork rather than a pickle.
@@ -203,17 +206,16 @@ def _brandes_block(core: Graph, ell: np.ndarray, lo: int):
 
     The leaves cost no per-level work: delta starts at ell and the
     recursion's (1 + delta[child]) stays, so each child w contributes
-    omega(w) + delta_s(w). The distance sum adds ell(t) d(s, t) over the
-    leaves' parents only, and delta is scaled by omega(s) only for a source
-    with leaves.
+    omega(w) + delta_s(w). The distance sum weighs d(s, t) by omega(t), and
+    every source's delta is scaled by omega(s), 1 for a source without
+    leaves.
     """
     n = core.n
     indptr = core.indptr.astype(np.int64)
     indices = core.indices.astype(np.int64)
     deg = core.degrees
     sources = range(lo, min(lo + SOURCE_BLOCK, n))
-    hubs = np.flatnonzero(ell)
-    hub_leaves = ell[hubs]
+    omega = 1 + ell
 
     raw = np.zeros(n)
     dist_sums = np.zeros(len(sources), dtype=np.int64)
@@ -257,8 +259,7 @@ def _brandes_block(core: Graph, ell: np.ndarray, lo: int):
             left -= frontier.size
             left_deg -= frontier_deg
 
-        dist_sums[s - lo] = (dist.sum(dtype=np.int64)
-                             + (hub_leaves * dist[hubs]).sum())
+        dist_sums[s - lo] = (omega * dist).sum()
 
         # backward: dependency accumulation from the deepest level inward
         np.copyto(delta, ell)
@@ -267,8 +268,7 @@ def _brandes_block(core: Graph, ell: np.ndarray, lo: int):
             delta += np.bincount(parents, weights=sigma[parents] * coeff,
                                  minlength=n)
         delta[s] = 0.0
-        if ell[s]:
-            delta *= 1 + ell[s]  # s and each of its leaves as source
+        delta *= omega[s]  # s and each of its leaves as source
         raw += delta
 
     return raw, dist_sums

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, check
+from .config import DEFAULT_CONFIG, ConfigError, check
 from .graph import Graph
 from .simtrace import SimTrace
 from .som import CellAssignment
@@ -30,7 +30,7 @@ def init_sir(graph: Graph, n_initial: int, seed=None) -> np.ndarray:
     """Per-agent int8 states: all susceptible except ``n_initial`` distinct
     agents drawn uniformly, who start infectious."""
     if not 1 <= n_initial <= graph.n:
-        raise ValueError(f"sir.initial must be in [1, {graph.n}], got {n_initial}")
+        raise ConfigError(f"sir.initial must be in [1, {graph.n}], got {n_initial}")
     rng = np.random.default_rng(seed)
     states = np.zeros(graph.n, dtype=np.int8)
     infected = rng.choice(graph.n, size=n_initial, replace=False)

@@ -36,10 +36,6 @@ class SomGrid:
     qe_initial: float | None = field(default=None, compare=False)
     qe_final: float | None = field(default=None, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
 
 @dataclass
 class CellAssignment:
@@ -135,9 +131,9 @@ def train_som(data: np.ndarray, width: int = _SOM["width"],
     Kohonen's batch map, which has no learning rate and no sample order.
 
     Weights initialize uniformly in [0,1]^dim from ``seed``. A cell whose
-    neighborhood weights all underflow to 0 keeps its vector. Raises if
-    training fails to improve the quantization error over the random
-    initialization.
+    neighborhood weights all underflow to 0 keeps its vector. Raises
+    ValueError if training fails to improve the quantization error over the
+    random initialization.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -168,7 +164,7 @@ def train_som(data: np.ndarray, width: int = _SOM["width"],
 
     qe_final = quantization_error(weights, data)
     if qe_final > qe_initial:
-        raise RuntimeError(
+        raise ValueError(
             f"SOM training worsened quantization error "
             f"({qe_initial:.6g} -> {qe_final:.6g})")
 
@@ -184,10 +180,11 @@ def assign_nodes(grid: SomGrid, data: np.ndarray) -> CellAssignment:
     """Map every sample to its BMU cell; distance ties go to the lowest
     linear index Y*width + X."""
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != grid.dim:
+    dim = grid.weights.shape[1]
+    if data.ndim != 2 or data.shape[1] != dim:
         raise ValueError(
             f"feature dimension {data.shape[-1] if data.ndim == 2 else '?'} "
-            f"does not match grid dimension {grid.dim}")
+            f"does not match grid dimension {dim}")
     lin = _sq_dists(data, grid.weights).argmin(axis=1)
     return CellAssignment(width=grid.width, height=grid.height,
                           x=(lin % grid.width).astype(np.int64),

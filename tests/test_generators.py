@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from netsom import compute_clustering, degree_assortativity, generate_cnn, generate_hk
-from netsom.generators import _grow_cnn
+from netsom import generators
 
 
 def hk_expected_edges(n, m):
@@ -17,9 +17,12 @@ class TestHK:
         assert all(g.degrees == 4)
 
     def test_exact_edge_count_and_mean_degree(self):
-        g = generate_hk(2000, m=4, p_t=0.9, seed=3)
-        assert g.num_edges == hk_expected_edges(2000, 4)
-        assert g.mean_degree == 2 * g.num_edges / 2000
+        # (210, 200, 0.0, 0) needs more than 100 draws for one edge: no draw
+        # budget may drop it
+        for n, m, p_t, seed in [(2000, 4, 0.9, 3), (210, 200, 0.0, 0)]:
+            g = generate_hk(n, m=m, p_t=p_t, seed=seed)
+            assert g.num_edges == hk_expected_edges(n, m)
+            assert g.mean_degree == 2 * g.num_edges / n
 
     def test_connected_and_simple(self):
         g = generate_hk(500, m=3, p_t=0.5, seed=7)
@@ -64,11 +67,18 @@ class TestCNN:
         g = generate_cnn(1, u=0.5, seed=0)
         assert g.n == 1 and g.num_edges == 0
 
-    def test_edge_count_identity(self):
-        # real edges = (nodes added - 1) + successful conversions
-        rng = np.random.default_rng(5)
-        edges, conversions = _grow_cnn(700, 0.75, rng)
-        assert len(edges) == (700 - 1) + conversions
+    def test_edge_count_identity(self, monkeypatch):
+        # every growth step and conversion adds a new edge: none repeats
+        built, build_graph = [], generators.build_graph
+
+        def capture(n, edges):
+            built.append(list(edges))
+            return build_graph(n, edges)
+
+        monkeypatch.setattr(generators, "build_graph", capture)
+        g = generate_cnn(700, u=0.75, seed=5)
+        (edges,) = built
+        assert g.num_edges == len(edges) >= 700 - 1
 
     def test_connected_and_simple(self):
         g = generate_cnn(800, u=0.75, seed=11)

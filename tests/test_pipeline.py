@@ -403,6 +403,30 @@ class TestCli:
         assert str(edges) in err and str(short) in err
         assert "30" in err and "60" in err
 
+    def test_initial_above_node_count_exit_2(self, tmp_path, capsys):
+        edges, assign = tmp_path / "g.edges", tmp_path / "g.assign.csv"
+        assert main(["generate", "--model", "hk", "--n", "60", "--seed", "1",
+                     "-o", str(edges)]) == 0
+        assign.write_text("node,X,Y\n" + "".join(f"{i},0,0\n" for i in range(60)))
+        trace = tmp_path / "g.sir.csv"
+        assert main(["simulate", "sir", str(edges), str(assign),
+                     "--initial", "61", "-o", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err == "netsom: config error: sir.initial must be in [1, 60], got 61\n"
+        assert not trace.exists()
+
+    def test_som_that_worsens_exit_3(self, tmp_path, capsys):
+        # half the nodes at every feature's minimum, half at its maximum: one
+        # batch epoch on 2x1 cells ends farther from the data than it began
+        features = tmp_path / "f.features.csv"
+        features.write_text("node,k,k_nn,b,L,C\n" + "".join(
+            f"{i},1,1,0,1,0\n" if i < 50 else f"{i},9,9,100,5,1\n"
+            for i in range(100)))
+        assert main(["categorize", str(features), "--grid", "2x1", "--epochs", "1",
+                     "--seed", "88"]) == 3
+        assert "SOM training worsened quantization error" in capsys.readouterr().err
+        assert not (tmp_path / "f.assign.csv").exists()
+
     def test_header_only_cells_exit_3(self, tmp_path, capsys):
         cells = tmp_path / "empty.cells.csv"
         cells.write_text("X,Y,count,mean_k,mean_k_nn,mean_b,mean_L,mean_C\n")
@@ -536,7 +560,7 @@ class TestCli:
             call(tmp_path)
         assert str(exc.value) in err
         assert not list(tmp_path.iterdir())
-        if rule in RANGES or rule in CHOICES:
+        if rule != "generate.n >= 3":  # in the library, compute_all's graph check
             assert err == f"netsom: config error: {exc.value}\n"
             assert isinstance(exc.value, ConfigError)
 
