@@ -20,8 +20,9 @@ class Graph:
 
     Adjacency is kept in CSR form (``indptr``, ``indices``) with each
     neighbor row sorted ascending, so neighbor iteration is deterministic.
-    Construct via :func:`build_graph` or :func:`load_edge_list`; instances
-    must not be mutated after construction.
+    Construct via :func:`build_graph` or :func:`load_edge_list`, or from a
+    run of such a graph's rows that no edge leaves, renumbered from 0;
+    instances must not be mutated after construction.
     """
 
     __slots__ = ("n", "indptr", "indices", "degrees")

@@ -4,19 +4,23 @@ betweenness, average shortest-path length, and local clustering coefficient.
 :func:`compute_all` is the one entry point. Betweenness and path lengths
 come from one Brandes-style pass per source (Brandes 2001), vectorized over
 BFS levels, each level scanned top-down from the frontier or bottom-up from
-the undiscovered nodes, whichever touches fewer edges. The pass runs on the
-graph without its degree-1 nodes, each core node weighted by one plus its
-number of leaves; the leaves' values follow exactly from their parents'.
-Every node needs an average path length, so connectivity is checked once,
-before the pass: a disconnected graph is rejected, naming node 0 and the
-lowest node with no path from it. Core sources run in blocks of 512 on
-forked worker processes, so exact values stay tractable at 10^4 nodes.
+the undiscovered nodes, whichever touches fewer edges. The pass runs on
+each biconnected block of the graph on its own, found by one iterative
+depth-first search (Hopcroft & Tarjan 1973). In a block each node counts
+as its reach: itself plus everything hanging off it outside the block.
+The pairs that a cut vertex separates are counted in closed form, and the
+distance sums are rerooted along the block-cut tree, so the values are
+exact (Puzis et al. 2012). A leaf is a 2-node block. Every node needs an
+average path length, so connectivity is checked once, before the pass: a
+disconnected graph is rejected, naming node 0 and the lowest node with no
+path from it. Sources run in units of up to 512 per block on forked worker
+processes, so exact values stay tractable at 10^4 nodes.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -125,10 +129,10 @@ def degree_assortativity(graph: Graph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Brandes accumulation, one vectorized BFS per source, over fixed source blocks
+# Brandes accumulation, one vectorized BFS per source, per biconnected block
 
-# Core sources per block. The layout depends only on the core size, and block
-# results are summed in block order, so the output bytes do not depend on the
+# Sources per work unit. The units depend only on the graph, and their
+# results are summed in unit order, so the output bytes do not depend on the
 # worker count.
 SOURCE_BLOCK = 512
 
@@ -140,59 +144,169 @@ def _brandes_all_sources(graph: Graph):
     unordered pair is counted twice. dist_sums[i] is sum_j d(i, j), an
     integer.
 
-    The pass runs on the leaf-pruned core (Baglioni et al. 2012; Sariyuce et
-    al. 2013): core node v stands for itself and its ell(v) leaves, with
-    weight omega(v) = 1 + ell(v), and Lambda leaves are pruned in all. A
-    leaf is on no path between two other nodes, and its paths all run
-    through its parent p, so the n-node values are exact:
+    The pass runs on each biconnected block on its own (Puzis et al. 2012;
+    Sariyuce et al. 2013). The shortest paths between two nodes all cross
+    the same blocks, entering and leaving each through a cut vertex, so in
+    block B node v stands for itself and everything hanging off it outside
+    B: its reach r_B(v). A block's reaches sum to n. With ell = r_B - 1 the
+    values are exact:
 
-    - core v: dist_sum(v) = sum_t omega(t) d(v, t) + Lambda, and
-      raw(v) = sum_{s != v} omega(s) delta_s(v) + ell(v)(n - 2), where
-      delta_s weighs target t by omega(t) and starts at ell(v), which adds
-      the pairs from the nodes of s to the leaves of v; ell(v)(n - 2) adds
-      the pairs from a leaf of v to every node but v and itself;
-    - leaf u: dist_sum(u) = dist_sum(p) + n - 2, and raw(u) = 0.
+    - raw(v) = sum over v's blocks B of sum_{s in B, s != v} r_B(s)
+      delta_s(v), where delta_s weighs target t by r_B(t) and starts at
+      ell(v). That start adds the pairs from the nodes of s to the nodes
+      hanging off v, in closed form; over v's blocks these are all the
+      pairs that v cuts apart. A leaf is a 2-node block whose other node
+      has reach n - 1: the leaf gains 0 and its neighbor n - 2;
+    - dist_sum(v) = W_B(v) + K_B in each block B that holds v, where
+      W_B(v) = sum_{t in B} r_B(t) d(v, t) comes from the block's BFS from
+      v, and K_B sums the distances from the nodes of B into what hangs
+      off them. K_B is never formed: node 0's distance sum is the sum over
+      blocks of W_B at the block's head (its cut vertex towards node 0),
+      and a cut vertex's sum is the same from each of its blocks, so one
+      pass down the block-cut tree reroots it onto every node.
 
-    So every core source's delta_s is scaled by omega(s), exactly by 1 for
-    a source without leaves.
-
-    Blocks of SOURCE_BLOCK core sources run through :func:`fork_map`, on as
-    many forked workers as the NETSOM_THREADS cap allows; the workers
-    inherit the core through the fork rather than a pickle.
+    Each block's sources split into units of up to SOURCE_BLOCK, and
+    consecutive units share a job up to SOURCE_BLOCK sources in all, so
+    that thousands of bridges do not cost a round trip to a worker each.
+    The jobs run through :func:`fork_map`, on as many forked workers as the
+    NETSOM_THREADS cap allows; the workers inherit the blocks through the
+    fork rather than a pickle.
     """
-    core, ids, ell, rep, is_leaf = _leaf_core(graph)
-    parts = fork_map(partial(_brandes_block, core, ell),
-                     range(0, core.n, SOURCE_BLOCK))
+    member, start, head_at, union, ell = _biconnected_blocks(graph)
+    spans = list(zip(start[:-1].tolist(), start[1:].tolist()))
+    jobs: list[list[tuple[int, int, int]]] = []
+    room = 0
+    for a, z in spans:
+        for lo in range(0, z - a, SOURCE_BLOCK):
+            count = min(SOURCE_BLOCK, z - a - lo)
+            if count > room:
+                jobs.append([])
+                room = SOURCE_BLOCK
+            jobs[-1].append((a, z, lo))
+            room -= count
+
+    def run(job):
+        results = []
+        for a, z, lo in job:
+            rows = union.indptr[a:z + 1]
+            block = Graph(z - a, rows - rows[0],
+                          union.indices[rows[0]:rows[-1]] - a)
+            results.append(_brandes_block(block, ell[a:z], lo))
+        return results
+
+    raw = np.zeros(graph.n)
+    w = np.empty(member.size, dtype=np.int64)  # W_B(v) at each (B, v)
+    for job, results in zip(jobs, fork_map(run, jobs)):  # in unit order
+        for (a, z, lo), (part, sums) in zip(job, results):
+            raw[member[a:z]] += part
+            w[a + lo:a + lo + sums.size] = sums
+    dist_sums = np.empty(graph.n, dtype=np.int64)
+    dist_sums[0] = w[head_at].sum()
+    # each head's sum is known before its blocks are
+    for (a, z), h in zip(spans[::-1], head_at[::-1].tolist()):
+        dist_sums[member[a:z]] = w[a:z] - w[h] + dist_sums[member[h]]
+    return raw, dist_sums
+
+
+def _biconnected_blocks(graph: Graph):
+    """The biconnected blocks of a connected graph, side by side in one
+    graph: (member, start, head_at, union, ell).
+
+    Block b is the nodes start[b]..start[b+1]-1 of ``union``, no edge of
+    which leaves the block, in the order of their ids member[...]; blocks
+    come children first along the block-cut tree from node 0, and block
+    b's head, its cut vertex towards node 0 (or node 0), is node
+    head_at[b]. ell is each node's reach less one. An edge belongs to the
+    block of its deeper end in the search of :func:`_depth_first_blocks`.
+    A head's reach is n less the size of the subtree below it in its block;
+    any other node's is one plus the subtree sizes of the blocks it heads.
+    """
     n = graph.n
-    raw = np.zeros(n)
-    raw[ids] = sum(part for part, _ in parts) + ell * (n - 2)  # in block order
-    sums = np.concatenate([sums for _, sums in parts]) + ell.sum()
-    return raw, sums[rep] + (n - 2) * is_leaf
-
-
-def _leaf_core(graph: Graph):
-    """The graph without its leaves: (core, ids, ell, rep, is_leaf).
-
-    A leaf is a degree-1 node. The graph is connected with n >= 3, so a
-    leaf's one neighbor, its parent, is in the core, and the core is
-    connected. Core ids keep the original order: ids[c] is core node c's
-    original id and ell[c] its number of leaves; rep[i] is the core id of
-    node i, or of its parent for a leaf.
-    """
-    is_leaf = graph.degrees == 1
-    ids = np.flatnonzero(~is_leaf)
-    rep = np.cumsum(~is_leaf) - 1
-    rep[is_leaf] = rep[graph.indices[graph.indptr[:-1][is_leaf]]]
-    ell = np.bincount(rep[is_leaf], minlength=ids.size)
+    disc, of, heads, sizes = _depth_first_blocks(graph)
+    nb = heads.size
+    # (block, node) keys, ascending: every node but node 0 in the block of
+    # its parent edge, and each head in its block
+    keys = np.sort(np.concatenate([of[1:] * n + np.arange(1, n),
+                                   np.arange(nb) * n + heads]))
+    member_of, member = np.divmod(keys, n)
+    start = np.searchsorted(member_of, np.arange(nb + 1))
+    hung = np.bincount(heads, weights=sizes, minlength=n).astype(np.int64)
+    ell = np.where(member == heads[member_of], n - 1 - sizes[member_of],
+                   hung[member])
     edges = graph.edge_array()
-    core = build_graph(ids.size, rep[edges[~is_leaf[edges].any(axis=1)]])
-    return core, ids, ell, rep, is_leaf
+    deeper = np.where(disc[edges[:, 0]] > disc[edges[:, 1]],
+                      edges[:, 0], edges[:, 1])
+    union = build_graph(keys.size, np.searchsorted(
+        keys, of[deeper][:, None] * n + edges))
+    return (member, start, np.searchsorted(keys, np.arange(nb) * n + heads),
+            union, ell)
 
 
-def _brandes_block(core: Graph, ell: np.ndarray, lo: int):
-    """Weighted raw betweenness of the connected core summed over core
-    sources lo..lo+SOURCE_BLOCK-1, and those sources' weighted distance sums
-    less Lambda (see :func:`_brandes_all_sources`).
+def _depth_first_blocks(graph: Graph):
+    """One depth-first search from node 0 (Hopcroft & Tarjan 1973), on an
+    explicit stack so that no graph size meets the recursion limit.
+
+    It pops a block each time a child v returns to a node u that no back
+    edge from v's subtree rises above: u is the block's head, its cut
+    vertex towards node 0 (or node 0), and the block's other nodes are the
+    pending ones from v on. Returns (disc, of, heads, sizes): each node's
+    discovery number and the block of its edge to its parent (-1 for node
+    0), and each block's head and the size of v's subtree.
+    """
+    n = graph.n
+    # machine words, where a list would hold an int object per entry
+    indptr = array("q", graph.indptr.astype(np.int64, copy=False).tobytes())
+    indices = array("i", graph.indices.astype(np.intc, copy=False).tobytes())
+    nxt = indptr[:-1]
+    disc, low, size, pos, of = (array("q", [x]) * n for x in (-1, 0, 1, 0, -1))
+    heads: list[int] = []
+    sizes: list[int] = []
+    path, pending = [0], []
+    disc[0] = 0
+    found = 1
+    while path:
+        v = path[-1]
+        i, end, lowest = nxt[v], indptr[v + 1], low[v]
+        while i < end:
+            w = indices[i]
+            i += 1
+            if disc[w] < 0:
+                break
+            # the edge to v's parent u can only lower low[v] to disc[u],
+            # which leaves the test low[v] >= disc[u] below as it is
+            if disc[w] < lowest:
+                lowest = disc[w]
+        else:
+            w = -1
+        nxt[v], low[v] = i, lowest
+        if w >= 0:  # a tree edge down to an undiscovered neighbor
+            disc[w] = low[w] = found
+            found += 1
+            pos[w] = len(pending)
+            path.append(w)
+            pending.append(w)
+            continue
+        path.pop()
+        if not path:
+            break
+        u = path[-1]
+        size[u] += size[v]
+        low[u] = min(low[u], low[v])
+        if low[v] >= disc[u]:
+            for x in pending[pos[v]:]:
+                of[x] = len(heads)
+            del pending[pos[v]:]
+            heads.append(u)
+            sizes.append(size[v])
+    return (np.array(disc), np.array(of), np.array(heads, dtype=np.int64),
+            np.array(sizes, dtype=np.int64))
+
+
+def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
+    """Reach-weighted raw betweenness within one biconnected block, summed
+    over its sources lo..lo+SOURCE_BLOCK-1, and those sources' weighted
+    distance sums W_B (see :func:`_brandes_all_sources`); ell is each
+    node's reach less one.
 
     Each BFS level is scanned from the cheaper side (Beamer et al. 2012),
     by one gather: top-down gathers the frontier's rows and keeps
@@ -204,16 +318,16 @@ def _brandes_block(core: Graph, ell: np.ndarray, lo: int):
     sorted, frontiers ascending), so the order-dependent bincount sums, and
     the output bits, do not depend on the direction.
 
-    The leaves cost no per-level work: delta starts at ell and the
-    recursion's (1 + delta[child]) stays, so each child w contributes
-    omega(w) + delta_s(w). The distance sum weighs d(s, t) by omega(t), and
-    every source's delta is scaled by omega(s), 1 for a source without
-    leaves.
+    What hangs off the block costs no per-level work: delta starts at ell
+    and the recursion's (1 + delta[child]) stays, so each child w
+    contributes its reach omega(w) + delta_s(w). The distance sum weighs
+    d(s, t) by omega(t), and every source's delta is scaled by omega(s), 1
+    for a node with nothing hanging off it.
     """
-    n = core.n
-    indptr = core.indptr.astype(np.int64)
-    indices = core.indices.astype(np.int64)
-    deg = core.degrees
+    n = block.n
+    indptr = block.indptr.astype(np.int64)
+    indices = block.indices.astype(np.int64)
+    deg = block.degrees
     sources = range(lo, min(lo + SOURCE_BLOCK, n))
     omega = 1 + ell
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import pickle
 
 import numpy as np
@@ -126,6 +127,12 @@ class TestClustering:
                                        clustering_bruteforce(g), atol=1e-12)
 
 
+def _reaches(graph):
+    """The reach of each node of each biconnected block, block by block."""
+    _, start, _, _, ell = metrics._biconnected_blocks(graph)
+    return [ell[a:z] + 1 for a, z in zip(start[:-1], start[1:])]
+
+
 def _with_leaves(graph, rng, leaves):
     """``graph`` plus ``leaves`` new nodes, each attached to a random earlier
     node, so some hang off others as pendant paths."""
@@ -143,8 +150,8 @@ DISCONNECTED = [
 
 
 class TestLeafPruning:
-    """Degree-1 nodes leave the Brandes pass and come back through their
-    parent's weight; distance sums stay integers, so L is exact."""
+    """A leaf is a 2-node block: it comes back through its neighbor's reach
+    there; distance sums stay integers, so L is exact."""
 
     @staticmethod
     def check(g):
@@ -153,11 +160,18 @@ class TestLeafPruning:
         np.testing.assert_allclose(f.b, betweenness_bruteforce(g), rtol=0,
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("g, core_size", [
-        (STAR4, 1), (DOUBLE_STAR, 2), (P5, 3), (CATERPILLAR, 4)],
+    @pytest.mark.parametrize("g, reaches", [
+        (STAR4, [(1, 4)] * 4),
+        (DOUBLE_STAR, [(1, 6)] * 5 + [(3, 4)]),
+        (P5, [(1, 4)] * 2 + [(2, 3)] * 2),
+        (CATERPILLAR, [(1, 9)] * 6 + [(3, 7), (4, 6), (5, 5)])],
         ids=["star", "double_star", "P5", "caterpillar"])
-    def test_small_cores(self, g, core_size):
-        assert metrics._leaf_core(g)[0].n == core_size
+    def test_small_cores(self, g, reaches):
+        # a tree is all bridges: a 2-node block per edge, whose reaches are
+        # the node counts on the edge's two sides
+        blocks = _reaches(g)
+        assert all(block.size == 2 for block in blocks)
+        assert sorted(tuple(sorted(block)) for block in blocks) == reaches
         self.check(g)
 
     def test_random_graphs_with_leaves(self):
@@ -174,6 +188,68 @@ class TestLeafPruning:
         with pytest.raises(ValueError, match="no path between") as exc:
             compute_all(build_graph(n, edges))
         assert str(exc.value).endswith(f"nodes {pair[0]} and {pair[1]}")
+
+
+# graphs glued from cycles, K4s, paths and trees at shared nodes:
+# (n, edges, the sorted sizes of their biconnected blocks)
+GLUED = {
+    # a triangle, a 4-cycle, a K4 and a bridge all meet at node 0
+    "four_blocks_at_one_node": (10, [
+        (0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (0, 5), (0, 6),
+        (0, 7), (0, 8), (6, 7), (6, 8), (7, 8), (0, 9)], [2, 3, 4, 4]),
+    # a 5-cycle and a K4 joined by a chain of three bridges
+    "bridge_chain": (11, [
+        (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6), (6, 7),
+        (7, 8), (7, 9), (7, 10), (8, 9), (8, 10), (9, 10)], [2, 2, 2, 4, 5]),
+    # a K4, a 4-cycle on it, a pendant triangle on that, and a path off
+    # the triangle
+    "pendant_triangle": (11, [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5),
+        (5, 6), (3, 6), (5, 7), (7, 8), (5, 8), (8, 9), (9, 10)],
+        [2, 2, 3, 4, 4]),
+    # node 0 is a leaf of node 1, which a triangle and a 4-cycle share;
+    # a 2-edge tail hangs off the 4-cycle
+    "rooted_at_a_leaf": (9, [
+        (0, 1), (1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (5, 6), (1, 6),
+        (6, 7), (7, 8)], [2, 2, 2, 3, 4]),
+}
+
+
+def _random_glued(rng, n_max=12):
+    """Cycles of 3 to 5 nodes, K4s and single edges, each glued at a random
+    node of what is there, until the next does not fit; ids shuffled."""
+    edges, n = [], 1
+    while True:
+        kind = int(rng.integers(3))
+        size = (int(rng.integers(3, 6)), 4, 2)[kind]
+        if n + size - 1 > n_max:
+            break
+        ids = [int(rng.integers(n))] + list(range(n, n + size - 1))
+        edges += (list(zip(ids, ids[1:] + ids[:1])) if kind == 0
+                  else list(itertools.combinations(ids, 2)))
+        n += size - 1
+    perm = rng.permutation(n)
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestBiconnectedBlocks:
+    """Graphs with cut vertices: every block on its own, nodes weighted by
+    their reach, against path enumeration and Floyd-Warshall."""
+
+    @pytest.mark.parametrize("name", list(GLUED))
+    def test_glued_graphs(self, name):
+        n, edges, sizes = GLUED[name]
+        g = build_graph(n, edges)
+        blocks = _reaches(g)
+        assert sorted(block.size for block in blocks) == sizes
+        # a block's reaches count every node once
+        assert all(block.sum() == n for block in blocks)
+        TestLeafPruning.check(g)
+
+    def test_random_glued_graphs(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            TestLeafPruning.check(_random_glued(rng))
 
 
 class TestComputeAll:
@@ -213,16 +289,27 @@ class TestComputeAll:
             assert np.array_equal(getattr(f, name), getattr(f2, name)), name
 
     def test_one_block_cnn_bytes_pinned(self, tmp_path):
-        """A one-block CNN graph with leaves and long BFS tails. The leaves
-        are pruned, and the scan of the weighted core goes bottom-up on most
-        of its levels. The sha256 is the features file of the plain top-down
-        scan of that core, which it must keep bit for bit."""
+        """A CNN graph of one source block, with leaves and long BFS tails.
+        It splits into 341-node and smaller biconnected blocks, and the scan
+        of the largest goes bottom-up on most of its levels. The sha256 is
+        the features file of the plain top-down scan of the same blocks,
+        which it must keep bit for bit.
+
+        The L digest is that of the pass over the leaf-pruned core that the
+        blocks replaced: distance sums are integers, so L kept every bit.
+        b did not: each block sums its sources' dependencies on its own,
+        and a cut vertex adds its blocks' sums in turn, so b moved in the
+        last ulps (1.3e-15 relative at most), and the file digest with it.
+        """
         g = generate_cnn(500, u=0.75, seed=2)
         assert g.n <= metrics.SOURCE_BLOCK and (g.degrees == 1).any()
+        f = compute_all(g)
+        assert hashlib.sha256(f.L.tobytes()).hexdigest() == (
+            "eaa9b0884b53231cc871b4d81e9e0ca92ea19ea79f6f57956ed3647263a6d9da")
         path = tmp_path / "features.csv"
-        write_features_csv(compute_all(g), path)
+        write_features_csv(f, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "7f26e5e271140b1e0208c406baffc287a9043f649be95b3d0ef6e08409685d75")
+            "de8a03392b9d71af80d8f61ee65a879f2335f5f461c95ad302f306889600c9e0")
 
     def test_csv_header(self, tmp_path):
         f = compute_all(K3)
@@ -261,6 +348,23 @@ class TestSourceBlocks:
         assert np.array_equal(one.L, f.L)
         np.testing.assert_allclose(one.b, f.b, rtol=1e-12, atol=0)
 
+    def test_cnn_blocks_identical_for_any_worker_count(self, tmp_path,
+                                                       monkeypatch):
+        # many blocks, the largest over several source units, the rest
+        # packed into shared jobs
+        g = generate_cnn(300, u=0.75, seed=4)
+        blocks = _reaches(g)
+        assert len(blocks) > 50
+        assert max(block.size for block in blocks) > 2 * metrics.SOURCE_BLOCK
+        files = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NETSOM_THREADS", threads)
+            f = compute_all(g)
+            assert not live_descendants()
+            files.append(tmp_path / f"features_{threads}.csv")
+            write_features_csv(f, files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes()
+
     def test_workers_inherit_the_graph_unpickled(self, tmp_path, monkeypatch):
         g = generate_hk(300, m=3, p_t=0.5, seed=4)
         monkeypatch.setenv("NETSOM_THREADS", "1")
@@ -294,7 +398,7 @@ class TestSourceBlocks:
             "graph is disconnected: no path between nodes 0 and 150"] * 2
 
     def test_disconnected_error_names_original_ids(self, monkeypatch):
-        # the leaf-pruned core renumbers the nodes; the error must not
+        # each block renumbers its nodes; the error must not
         g = _two_copies(generate_cnn(150, u=0.75, seed=4))
         assert (g.degrees == 1).any()
         assert self.disconnected_messages(g, monkeypatch) == [
