@@ -66,7 +66,7 @@ class Graph:
         while frontier.size:
             nxt = gather_rows(self.indptr, self.indices,
                               self.degrees[frontier], frontier)
-            nxt = nxt[~seen[nxt]]
+            nxt = nxt[np.flatnonzero(~seen[nxt])]
             seen[nxt] = True
             frontier = np.unique(nxt)
         return seen

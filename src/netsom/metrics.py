@@ -316,7 +316,10 @@ def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
     the edge ends swapped. Both list a level's DAG edges with each child's
     parents ascending and each parent's children ascending (CSR rows are
     sorted, frontiers ascending), so the order-dependent bincount sums, and
-    the output bits, do not depend on the direction.
+    the output bits, do not depend on the direction. A level's DAG edges
+    are selected by the index array of its hits, not by a boolean mask:
+    both pick the same entries in the same order, but numpy's masked
+    indexing costs several times np.flatnonzero and two integer takes.
 
     What hangs off the block costs no per-level work: delta starts at ell
     and the recursion's (1 + delta[child]) stays, so each child w
@@ -357,10 +360,10 @@ def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
             up = frontier_deg > left_deg + left
             if up:
                 rest = (np.flatnonzero(dist == -1) if rest is None
-                        else rest[dist[rest] == -1])
+                        else rest[np.flatnonzero(dist[rest] == -1)])
             rows, row_counts = (rest, deg[rest]) if up else (frontier, counts)
             flat = gather_rows(indptr, indices, row_counts, rows)
-            hit = dist[flat] == (len(levels) if up else -1)
+            hit = np.flatnonzero(dist[flat] == (len(levels) if up else -1))
             near, far = np.repeat(rows, row_counts)[hit], flat[hit]
             parents, children = (far, near) if up else (near, far)
             add = np.bincount(children, weights=sigma[parents], minlength=n)

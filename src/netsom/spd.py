@@ -35,7 +35,7 @@ def play_round(graph: Graph, strategies: np.ndarray, T: float = _SPD["T"],
     n = graph.n
     src, dst = graph.directed_edges()
     coop = strategies == C
-    n_coop = np.bincount(src[coop[dst]], minlength=n).astype(np.float64)
+    n_coop = np.bincount(src, weights=coop[dst], minlength=n)  # exact counts
     deg = graph.degrees.astype(np.float64)
     return np.where(coop, n_coop, T * n_coop + eps * (deg - n_coop))
 

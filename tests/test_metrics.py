@@ -311,6 +311,17 @@ class TestComputeAll:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "de8a03392b9d71af80d8f61ee65a879f2335f5f461c95ad302f306889600c9e0")
 
+    def test_hk_bytes_pinned(self, tmp_path):
+        """An HK graph of one biconnected block and four source units,
+        whose BFS levels are scanned top-down and bottom-up (about 1.8 to
+        1 over its 2000 sources). The sha256 is the features file of the
+        kernel that selected each level's DAG edges by boolean mask."""
+        f = compute_all(generate_hk(2000, m=4, p_t=0.9, seed=1))
+        path = tmp_path / "features.csv"
+        write_features_csv(f, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "be1f8fc18476f943867a92c494798393a6e7e3da976554b989256e770ec831f4")
+
     def test_csv_header(self, tmp_path):
         f = compute_all(K3)
         p = tmp_path / "features.csv"

@@ -69,6 +69,18 @@ class TestPlayRound:
         p = play_round(g, s, T=1.5, eps=0.25)
         assert p.tolist() == [0.25, 0.25]
 
+    def test_mixed_matches_per_game_sum(self):
+        """Every agent's payoff is the sum of its games, one per neighbor
+        (T and eps are dyadic, so any summation order is exact)."""
+        rng = np.random.default_rng(4)
+        g = random_connected_graph(rng, 60)
+        pay = {(C, C): 1.0, (C, D): 0.0, (D, C): 1.5, (D, D): 0.25}
+        for share in (0.1, 0.5, 0.9):
+            s = (rng.random(g.n) < share).astype(np.int8)
+            p = play_round(g, s, T=1.5, eps=0.25)
+            assert p.tolist() == [sum(pay[s[i], s[j]] for j in g.neighbors(i))
+                                  for i in range(g.n)]
+
     def test_dilemma_ordering_enforced(self):
         g = build_graph(2, [(0, 1)])
         s = np.array([C, D], dtype=np.int8)
