@@ -4,6 +4,7 @@ and the one CSV reader, lattice index and file writer of every artifact."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import os
 import re
@@ -172,26 +173,28 @@ def load_edge_list(path: str | Path) -> Graph:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def save_edge_list(graph: Graph, path: str | Path) -> None:
-    """Write the canonical edge-list form: node-count header, one "u v" per line."""
+def save_edge_list(graph: Graph, path: str | Path) -> str:
+    """Write the canonical edge-list form: node-count header, one "u v" per
+    line; returns the sha256 of the bytes written."""
     lines = [f"# nodes: {graph.n}\n"]
     lines.extend(f"{u} {v}\n" for u, v in graph.edge_array())
-    write_text(path, "".join(lines))
+    return write_text(path, "".join(lines))
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """``text`` as UTF-8 with LF line endings, through a temporary file in
-    the same directory that replaces ``path`` in one rename: a failed write
-    leaves the previous file as it was, and no temporary file."""
+def write_text(path: str | Path, text: str) -> str:
+    """``text`` as UTF-8 with LF line endings, through a temporary file beside
+    ``path`` that replaces it in one rename, so a failed write leaves the old
+    file and no temporary one; returns the sha256 of the bytes written."""
     path = Path(path)
+    data = text.encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_csv(path: str | Path, header_ok, types) -> tuple[list[str], list[tuple], list[int]]:

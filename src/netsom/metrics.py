@@ -395,11 +395,12 @@ def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
 # CSV round-trip (node,k,k_nn,b,L,C; floats at full precision)
 
 
-def write_features_csv(features: NodeFeatures, path: str | Path) -> None:
+def write_features_csv(features: NodeFeatures, path: str | Path) -> str:
+    """The features table; returns the sha256 of the bytes written."""
     rows = [f"{i},{int(features.k[i])},{features.k_nn[i]:.17g},"
             f"{features.b[i]:.17g},{features.L[i]:.17g},{features.C[i]:.17g}\n"
             for i in range(features.n)]
-    write_text(path, "node,k,k_nn,b,L,C\n" + "".join(rows))
+    return write_text(path, "node,k,k_nn,b,L,C\n" + "".join(rows))
 
 
 def read_features_csv(path: str | Path) -> NodeFeatures:

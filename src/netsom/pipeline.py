@@ -2,9 +2,10 @@
 
 Every stage writes its artifact plus a sidecar ``<artifact>.meta.json``
 recording parameters, the derived seed, and content hashes of inputs and
-output, so any figure can be audited back to the graph that produced it.
-Stages re-run independently from persisted intermediates; a consumed
-artifact whose bytes no longer match its recorded hash is rejected as stale.
+output (the digest of the bytes written), so any figure can be audited back
+to the graph that produced it. Stages re-run independently from persisted
+intermediates; a consumed artifact whose bytes no longer match its recorded
+hash is rejected as stale, and one whose meta records none as corrupt.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_meta(artifact: Path, stage: str, params: dict,
+def _write_meta(artifact: str | Path, digest: str, stage: str, params: dict,
                 seed: int | None, inputs: dict[str, str],
                 result: dict | None = None) -> None:
-    """The sidecar of ``artifact``; ``inputs`` maps each input's file name
-    to the digest that :func:`check_fresh` verified."""
+    """The sidecar of ``artifact``, whose writer returned ``digest``; ``inputs``
+    maps each input's file name to the digest :func:`check_fresh` verified."""
+    artifact = Path(artifact)
     doc = {
         "tool": "netsom",
         "version": __version__,
@@ -71,7 +73,7 @@ def _write_meta(artifact: Path, stage: str, params: dict,
         "params": params,
         "seed": seed,
         "inputs": inputs,
-        "output_sha256": sha256_file(artifact),
+        "output_sha256": digest,
     }
     if result is not None:
         doc["result"] = result
@@ -79,28 +81,27 @@ def _write_meta(artifact: Path, stage: str, params: dict,
     write_text(meta_path, json.dumps(doc, sort_keys=True) + "\n")
 
 
-def check_fresh(path: str | Path) -> str:
-    """Reject an input whose bytes no longer match its recorded hash;
-    returns the digest of the bytes checked, also of a hand-made input."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"missing input: {path}")
-    digest = sha256_file(path)
-    meta_path = path.with_name(path.name + ".meta.json")
-    if not meta_path.exists():
-        return digest  # hand-made input; nothing recorded to check against
-    try:
-        recorded = json.loads(meta_path.read_text(encoding="utf-8")).get("output_sha256")
-    except (ValueError, AttributeError):
-        raise ValueError(f"corrupt meta file {meta_path}: not a JSON object") from None
-    if recorded is not None and recorded != digest:
-        raise ValueError(f"stale input: {path} does not match its recorded hash")
-    return digest
-
-
-def _fresh(*paths: str | Path) -> dict[str, str]:
-    """{file name: digest} of inputs that pass :func:`check_fresh`."""
-    return {Path(p).name: check_fresh(p) for p in paths}
+def check_fresh(*paths: str | Path) -> dict[str, str]:
+    """{file name: digest} of the inputs. An input whose bytes no longer
+    match the digest its meta file records is stale, and a meta file with no
+    digest is corrupt; a hand-made input has no meta file to check."""
+    digests = {}
+    for path in map(Path, paths):
+        if not path.exists():
+            raise FileNotFoundError(f"missing input: {path}")
+        digest = digests[path.name] = sha256_file(path)
+        meta_path = path.with_name(path.name + ".meta.json")
+        if not meta_path.exists():
+            continue
+        try:
+            recorded = json.loads(meta_path.read_text(encoding="utf-8"))["output_sha256"]
+        except (ValueError, TypeError, KeyError):  # not JSON, not an object, no key
+            recorded = None
+        if not isinstance(recorded, str):
+            raise ValueError(f"corrupt meta file {meta_path}: no output_sha256 string")
+        if recorded != digest:
+            raise ValueError(f"stale input: {path} does not match its recorded hash")
+    return digests
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +112,6 @@ def stage_generate(out_path: str | Path, model: str = _GEN["model"],
                    n: int = _GEN["n"], m: int = _GEN["m"],
                    p_t: float = _GEN["p_t"], u: float = _GEN["u"],
                    seed: int = _SEED) -> Graph:
-    out_path = Path(out_path)
     check("generate", {"model": model})
     if model == "hk":
         graph = generate_hk(n, m=m, p_t=p_t, seed=seed)
@@ -119,18 +119,17 @@ def stage_generate(out_path: str | Path, model: str = _GEN["model"],
     else:
         graph = generate_cnn(n, u=u, seed=seed)
         params = {"model": model, "n": n, "u": u}
-    save_edge_list(graph, out_path)
-    _write_meta(out_path, "generate", params, seed, {},
-                result={"edges": graph.num_edges,
-                        "mean_degree": graph.mean_degree})
+    _write_meta(out_path, save_edge_list(graph, out_path), "generate", params,
+                seed, {}, result={"edges": graph.num_edges,
+                                  "mean_degree": graph.mean_degree})
     return graph
 
 
 def stage_metrics(edges_path: str | Path, out_path: str | Path) -> NodeFeatures:
-    inputs, out_path = _fresh(edges_path), Path(out_path)
+    inputs = check_fresh(edges_path)
     features = compute_all(load_edge_list(edges_path))
-    write_features_csv(features, out_path)
-    _write_meta(out_path, "metrics", {}, None, inputs)
+    _write_meta(out_path, write_features_csv(features, out_path), "metrics",
+                {}, None, inputs)
     return features
 
 
@@ -141,7 +140,7 @@ def stage_categorize(features_path: str | Path, out_prefix: str | Path,
     """Normalize, train the lattice, assign nodes, and write the three
     artifacts: <prefix>.assign.csv, <prefix>.cells.csv, <prefix>.som.json."""
     check("som", {"log_features": log_features})
-    inputs = _fresh(features_path)
+    inputs = check_fresh(features_path)
     features = read_features_csv(features_path)
     mat = apply_log_columns(features.as_matrix(),
                             tuple(map(FEATURE_NAMES.index, log_features)))
@@ -155,14 +154,14 @@ def stage_categorize(features_path: str | Path, out_prefix: str | Path,
     assign_path = prefix.with_name(prefix.name + ".assign.csv")
     cells_path = prefix.with_name(prefix.name + ".cells.csv")
     som_path = prefix.with_name(prefix.name + ".som.json")
-    write_assignment_csv(assignment, assign_path)
-    write_cell_stats_csv(stats, cells_path)
-    save_som_json(grid, som_path)
+    written = [(assign_path, write_assignment_csv(assignment, assign_path)),
+               (cells_path, write_cell_stats_csv(stats, cells_path)),
+               (som_path, save_som_json(grid, som_path))]
     params = {"width": width, "height": height, "epochs": epochs,
               "log_features": list(log_features)}
     result = {"qe_initial": grid.qe_initial, "qe_final": grid.qe_final}
-    for p in (assign_path, cells_path, som_path):
-        _write_meta(p, "categorize", params, seed, inputs, result=result)
+    for path, digest in written:
+        _write_meta(path, digest, "categorize", params, seed, inputs, result=result)
     return grid, assignment, stats
 
 
@@ -208,55 +207,47 @@ def stage_keywords(params: dict) -> dict:
 def _simulate(name: str, edges_path: str | Path, assign_path: str | Path,
               out_path: str | Path, seed: int, params: dict) -> SimTrace:
     """Shared body of the simulate stages; ``params`` uses config keys."""
-    inputs = _fresh(edges_path, assign_path)
+    inputs = check_fresh(edges_path, assign_path)
     graph, assignment = load_edge_list(edges_path), read_assignment_csv(assign_path)
     if assignment.n != graph.n:
         raise ValueError(f"{assign_path} assigns {assignment.n} nodes but "
                          f"{edges_path} has {graph.n}")
     trace = globals()[f"run_{name}"](graph, assignment, seed=seed,
                                      **stage_keywords(params))
-    write_trace_csv(trace, out_path)
-    _write_meta(Path(out_path), f"simulate-{name}", params, seed, inputs,
-                result=SIMULATIONS[name][0](trace))
+    _write_meta(out_path, write_trace_csv(trace, out_path), f"simulate-{name}",
+                params, seed, inputs, result=SIMULATIONS[name][0](trace))
     return trace
 
 
 def stage_render_heatmap(cells_path: str | Path, out_path: str | Path) -> None:
-    inputs = _fresh(cells_path)
-    _write_svg(out_path, render_heatmaps(read_cell_stats_csv(cells_path)),
-               "render-heatmap", {}, inputs)
+    inputs = check_fresh(cells_path)
+    svg = render_heatmaps(read_cell_stats_csv(cells_path))
+    _write_meta(out_path, write_text(out_path, svg), "render-heatmap", {}, None, inputs)
 
 
 def stage_render_pies(trace_path: str | Path, out_path: str | Path, t: float,
                       radius_mode: str = _RADIUS_MODE) -> None:
-    inputs = _fresh(trace_path)
+    inputs = check_fresh(trace_path)
     trace = read_trace_csv(trace_path)
     idx = trace.nearest_index(t)
     svg = render_pie_lattice(trace.counts[idx], trace.width, trace.height,
                              trace.state_names, t=trace.times[idx],
                              radius_mode=radius_mode,
                              time_label=trace.time_label)
-    _write_svg(out_path, svg, "render-pies",
-               {"t": t, "radius_mode": radius_mode}, inputs)
+    _write_meta(out_path, write_text(out_path, svg), "render-pies",
+                {"t": t, "radius_mode": radius_mode}, None, inputs)
 
 
 def stage_render_timeline(trace_path: str | Path, out_path: str | Path,
                           times: list[float] | None,
                           radius_mode: str = _RADIUS_MODE) -> None:
-    inputs = _fresh(trace_path)
+    inputs = check_fresh(trace_path)
     trace = read_trace_csv(trace_path)
     if times is None:
         times = default_timeline_times(trace)
     svg = render_timeline(trace, times, radius_mode=radius_mode)
-    _write_svg(out_path, svg, "render-timeline",
-               {"times": times, "radius_mode": radius_mode}, inputs)
-
-
-def _write_svg(out_path: str | Path, svg: str, stage: str, params: dict,
-               inputs: dict[str, str]) -> None:
-    """Shared tail of the render stages: the figure, then its meta file."""
-    write_text(out_path, svg)
-    _write_meta(Path(out_path), stage, params, None, inputs)
+    _write_meta(out_path, write_text(out_path, svg), "render-timeline",
+                {"times": times, "radius_mode": radius_mode}, None, inputs)
 
 
 def default_timeline_times(trace: SimTrace) -> list[float]:

@@ -61,7 +61,8 @@ class SimTrace:
         return int(np.argmin(diffs))
 
 
-def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
+def write_trace_csv(trace: SimTrace, path: str | Path) -> str:
+    """One row per snapshot and cell; returns the sha256 of the bytes written."""
     names = ",".join(trace.state_names)
     rows = [f"{trace.time_label},X,Y,{names}\n"]
     for t, counts in zip(trace.times, trace.counts):
@@ -71,7 +72,7 @@ def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
             vals = ",".join(str(int(counts[s, lin]))
                             for s in range(len(trace.state_names)))
             rows.append(f"{ts},{x},{y},{vals}\n")
-    write_text(path, "".join(rows))
+    return write_text(path, "".join(rows))
 
 
 def read_trace_csv(path: str | Path) -> SimTrace:

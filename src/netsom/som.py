@@ -218,7 +218,8 @@ def cell_stats(assignment: CellAssignment, raw_features,
 # serialization
 
 
-def save_som_json(grid: SomGrid, path: str | Path) -> None:
+def save_som_json(grid: SomGrid, path: str | Path) -> str:
+    """The lattice as JSON; returns the sha256 of the bytes written."""
     doc = {
         "width": grid.width,
         "height": grid.height,
@@ -226,7 +227,7 @@ def save_som_json(grid: SomGrid, path: str | Path) -> None:
                         "max": grid.feat_max.tolist()},
         "weights": [row.tolist() for row in grid.weights],
     }
-    write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+    return write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_som_json(path: str | Path) -> SomGrid:
@@ -238,10 +239,11 @@ def load_som_json(path: str | Path) -> SomGrid:
                    feat_max=np.asarray(doc["norm_params"]["max"], dtype=np.float64))
 
 
-def write_assignment_csv(assignment: CellAssignment, path: str | Path) -> None:
+def write_assignment_csv(assignment: CellAssignment, path: str | Path) -> str:
+    """One node,X,Y row per node; returns the sha256 of the bytes written."""
     rows = [f"{i},{assignment.x[i]},{assignment.y[i]}\n"
             for i in range(assignment.n)]
-    write_text(path, "node,X,Y\n" + "".join(rows))
+    return write_text(path, "node,X,Y\n" + "".join(rows))
 
 
 def read_assignment_csv(path: str | Path) -> CellAssignment:
@@ -252,8 +254,9 @@ def read_assignment_csv(path: str | Path) -> CellAssignment:
                           x=x, y=y)
 
 
-def write_cell_stats_csv(stats: CellStats, path: str | Path) -> None:
-    """One row per cell; empty cells keep blank mean fields."""
+def write_cell_stats_csv(stats: CellStats, path: str | Path) -> str:
+    """One row per cell, blank means for an empty one; returns the sha256
+    of the bytes written."""
     cols = ",".join(f"mean_{name}" for name in stats.feature_names)
     rows = [f"X,Y,count,{cols}\n"]
     for lin in range(stats.width * stats.height):
@@ -261,7 +264,7 @@ def write_cell_stats_csv(stats: CellStats, path: str | Path) -> None:
         count = stats.counts[lin]
         vals = ",".join(f"{v:.17g}" if count else "" for v in stats.means[lin])
         rows.append(f"{x},{y},{count},{vals}\n")
-    write_text(path, "".join(rows))
+    return write_text(path, "".join(rows))
 
 
 def read_cell_stats_csv(path: str | Path) -> CellStats:

@@ -1,7 +1,8 @@
 """The one CSV reader and the one file writer: every malformed input file
-is a ValueError naming the file, and a failed write leaves the previous
-file as it was."""
+is a ValueError naming the file, a failed write leaves the previous file as
+it was, and a writer returns the digest of the bytes it leaves."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsom import SimTrace, load_edge_list, read_trace_csv, write_trace_csv
-from netsom.graph import write_text
-from netsom.metrics import read_features_csv
-from netsom.som import read_assignment_csv, read_cell_stats_csv
+from netsom import SimTrace, SomGrid, load_edge_list, read_trace_csv, write_trace_csv
+from netsom.graph import save_edge_list, write_text
+from netsom.metrics import read_features_csv, write_features_csv
+from netsom.som import (read_assignment_csv, read_cell_stats_csv, save_som_json,
+                        write_assignment_csv, write_cell_stats_csv)
 
 # A valid file of each format. Every integer is a single digit, so four
 # mutations grow a number to at most five digits, or, through the long
@@ -70,6 +72,28 @@ def test_valid_files_read(tmp_path):
         path = tmp_path / f"input.{fmt}"
         path.write_text(text)
         read(path)
+
+
+# the writer of each format in VALID, plus the SOM's JSON and plain text
+WRITERS = {"edges": save_edge_list, "features": write_features_csv,
+           "assign": write_assignment_csv, "cells": write_cell_stats_csv,
+           "trace": write_trace_csv, "som": save_som_json, "text": write_text}
+
+
+@pytest.mark.parametrize("fmt", WRITERS)
+def test_writer_returns_digest_of_the_file_it_leaves(tmp_path, fmt):
+    if fmt in VALID:
+        read, text = VALID[fmt]
+        (tmp_path / "input").write_text(text)
+        obj = read(tmp_path / "input")
+    elif fmt == "som":
+        obj = SomGrid(width=2, height=1, weights=np.eye(2),
+                      feat_min=np.zeros(2), feat_max=np.ones(2))
+    else:
+        obj = "na\u00efve \u2713\n"  # non-ASCII: the digest is of the UTF-8 bytes
+    args = (tmp_path / "out", obj) if fmt == "text" else (obj, tmp_path / "out")
+    digest = WRITERS[fmt](*args)
+    assert digest == hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest()
 
 
 def _broken_trace() -> SimTrace:

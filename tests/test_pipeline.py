@@ -220,11 +220,12 @@ class TestFullRun:
         monkeypatch.setattr(pipeline, "sha256_file",
                             lambda path: hashed.append(Path(path).name) or real(path))
         full_run(SMALL_CONFIG, tmp_path / "r", echo=lambda *_: None)
-        # once as its stage's output, then once per stage that reads it
-        assert hashed.count("hk.edges") == 4  # metrics, sir, spd
-        assert hashed.count("features.csv") == 2  # categorize
-        assert hashed.count("hk.assign.csv") == 3  # sir, spd
-        assert hashed.count("sir_trace.csv") == 3  # timeline, pies
+        # once per stage that reads it; an output's digest comes from the
+        # text written, so no stage reads back a file it wrote
+        assert hashed.count("hk.edges") == 3  # metrics, sir, spd
+        assert hashed.count("features.csv") == 1  # categorize
+        assert hashed.count("hk.assign.csv") == 2  # sir, spd
+        assert hashed.count("sir_trace.csv") == 2  # timeline, pies
 
     def test_hand_made_input_digest_in_meta(self, tmp_path):
         edges = tmp_path / "g.edges"
@@ -513,11 +514,13 @@ class TestCli:
                 assert "NETSOM_THREADS" in capsys.readouterr().err
                 assert not out.exists()  # failed before any stage
 
-    def test_corrupt_meta_exit_3(self, tmp_path, capsys):
+    # a meta file that records no digest vouches for no bytes
+    @pytest.mark.parametrize("doc", ["garbage", "{}", '{"output_sha256": null}', "[]"])
+    def test_corrupt_meta_exit_3(self, tmp_path, capsys, doc):
         features = tmp_path / "g.features.csv"
         features.write_text("node,k,k_nn,b,L,C\n0,1,1,0,1,0\n1,1,1,0,1,0\n")
         meta = tmp_path / "g.features.csv.meta.json"
-        meta.write_text("garbage")
+        meta.write_text(doc)
         assert main(["categorize", str(features)]) == 3
         assert str(meta) in capsys.readouterr().err
 
