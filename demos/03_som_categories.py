@@ -13,22 +13,16 @@ import pathlib
 
 import numpy as np
 
-from netsom import (assign_nodes, cell_stats, compute_all, generate_hk,
-                    normalize_features, render_heatmaps, train_som)
+from netsom import categorize, compute_all, generate_hk, render_heatmaps
 
 OUT = pathlib.Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
 g = generate_hk(3000, m=4, p_t=0.9, seed=42)
-feats = compute_all(g)
-
-norm, params = normalize_features(feats)
-grid = train_som(norm, width=5, height=5, epochs=20, seed=7, norm_params=params)
+grid, assignment, stats = categorize(compute_all(g), width=5, height=5,
+                                     epochs=20, seed=7)
 print(f"trained 5x5 map: quantization error {grid.qe_initial:.4f} -> "
       f"{grid.qe_final:.4f}")
-
-assignment = assign_nodes(grid, norm)
-stats = cell_stats(assignment, feats)
 
 print("\nnodes per cell (Y up, X right):")
 counts = stats.counts.reshape(5, 5)

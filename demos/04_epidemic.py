@@ -12,18 +12,13 @@ import pathlib
 
 import numpy as np
 
-from netsom import (assign_nodes, cell_stats, compute_all, generate_hk,
-                    normalize_features, render_timeline, run_sir, train_som)
+from netsom import categorize, compute_all, generate_hk, render_timeline, run_sir
 
 OUT = pathlib.Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
 g = generate_hk(3000, m=4, p_t=0.9, seed=42)
-feats = compute_all(g)
-norm, params = normalize_features(feats)
-grid = train_som(norm, 5, 5, epochs=20, seed=7, norm_params=params)
-assignment = assign_nodes(grid, norm)
-stats = cell_stats(assignment, feats)
+_, assignment, stats = categorize(compute_all(g), 5, 5, epochs=20, seed=7)
 
 trace = run_sir(g, assignment, lam=0.2, mu=1.0, dt=0.01, n_initial=10, seed=11)
 print(f"epidemic over at t={trace.terminal_time:g} "

@@ -13,19 +13,14 @@ import pathlib
 
 import numpy as np
 
-from netsom import (assign_nodes, cell_stats, compute_all,
-                    compute_avg_neighbor_degree, generate_hk,
-                    normalize_features, render_timeline, run_spd, train_som)
+from netsom import (categorize, compute_all, compute_avg_neighbor_degree,
+                    generate_hk, render_timeline, run_spd)
 
 OUT = pathlib.Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
 g = generate_hk(2000, m=4, p_t=0.9, seed=3405998857)  # a cooperator-friendly draw
-feats = compute_all(g)
-norm, params = normalize_features(feats)
-grid = train_som(norm, 5, 5, epochs=20, seed=7, norm_params=params)
-assignment = assign_nodes(grid, norm)
-stats = cell_stats(assignment, feats)
+_, assignment, stats = categorize(compute_all(g), 5, 5, epochs=20, seed=7)
 
 trace = run_spd(g, assignment, T=1.5, eps=0.0, seed=4263328254, max_rounds=100)
 print(f"stopped after round {int(trace.terminal_time)}")

@@ -10,7 +10,7 @@ from .metrics import (FEATURE_NAMES, NodeFeatures, compute_all,
                       degree_assortativity, read_features_csv,
                       write_features_csv)
 from .som import (CellAssignment, CellStats, SomGrid, assign_nodes,
-                  cell_stats, load_som_json, normalize_features,
+                  categorize, cell_stats, load_som_json, normalize_features,
                   quantization_error, save_som_json, train_som)
 from .simtrace import SimTrace, read_trace_csv, write_trace_csv
 from .sir import init_sir, run_sir
@@ -26,7 +26,7 @@ __all__ = [
     "compute_avg_neighbor_degree", "compute_clustering", "degree_assortativity",
     "read_features_csv", "write_features_csv",
     "SomGrid", "CellAssignment", "CellStats", "normalize_features",
-    "train_som", "assign_nodes", "cell_stats",
+    "train_som", "assign_nodes", "cell_stats", "categorize",
     "quantization_error", "save_som_json", "load_som_json",
     "SimTrace", "read_trace_csv", "write_trace_csv",
     "init_sir", "run_sir",

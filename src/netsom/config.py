@@ -56,14 +56,17 @@ class ConfigError(ValueError):
 def check(section: str, values: dict) -> None:
     """The one check of parameter values, by config key within ``section``
     ("" for the top level): a choice key's values must be listed in CHOICES,
-    and a number key's value must be finite and within its RANGES bounds;
-    else ConfigError. Keys in neither table pass."""
+    each at most once, and a number key's value must be finite and within
+    its RANGES bounds; else ConfigError. Keys in neither table pass."""
     for key, value in values.items():
         name = f"{section}.{key}" if section else key
         if name in CHOICES:
             listed = CHOICES[name]
-            if not set(value if isinstance(value, (list, tuple)) else [value]) <= set(listed):
+            items = value if isinstance(value, (list, tuple)) else [value]
+            if not set(items) <= set(listed):
                 raise ConfigError(f"{name} must be from {', '.join(listed)}, got {value!r}")
+            if len(set(items)) < len(items):
+                raise ConfigError(f"{name} must list each value at most once, got {value!r}")
         elif name in RANGES:
             if not abs(value) <= sys.float_info.max:  # NaN, infinite or huge
                 raise ConfigError(f"{name} must be finite, got {value!r}")

@@ -72,9 +72,6 @@ class Graph:
             frontier = np.unique(nxt)
         return seen
 
-    def is_connected(self) -> bool:
-        return bool(self.reached().all())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -21,15 +21,13 @@ from .config import (ConfigError, DEFAULT_CONFIG, resolve_config,  # noqa: F401 
                      check, fork_map, thread_cap)
 from .generators import generate_cnn, generate_hk
 from .graph import Graph, load_edge_list, save_edge_list, write_text
-from .metrics import (FEATURE_NAMES, NodeFeatures, compute_all,
-                      read_features_csv, write_features_csv)
+from .metrics import (NodeFeatures, compute_all, read_features_csv,
+                      write_features_csv)
 from .render import render_heatmaps, render_pie_lattice, render_timeline
 from .simtrace import SimTrace, read_trace_csv, write_trace_csv
 from .sir import run_sir
-from .som import (apply_log_columns, assign_nodes, cell_stats,
-                  normalize_features, read_assignment_csv,
-                  read_cell_stats_csv, save_som_json, train_som,
-                  write_assignment_csv, write_cell_stats_csv)
+from .som import (categorize, read_assignment_csv, read_cell_stats_csv,
+                  save_som_json, write_assignment_csv, write_cell_stats_csv)
 from .spd import run_spd
 
 # deterministic master-seed split: stage seed = first word of
@@ -137,18 +135,19 @@ def stage_categorize(features_path: str | Path, out_prefix: str | Path,
                      width: int = _SOM["width"], height: int = _SOM["height"],
                      epochs: int = _SOM["epochs"], seed: int = _SEED,
                      log_features: tuple[str, ...] = ()):
-    """Normalize, train the lattice, assign nodes, and write the three
-    artifacts: <prefix>.assign.csv, <prefix>.cells.csv, <prefix>.som.json."""
+    """Categorize the nodes of a features file (:func:`som.categorize`) and
+    write the three artifacts: <prefix>.assign.csv, <prefix>.cells.csv,
+    <prefix>.som.json."""
     check("som", {"log_features": log_features})
     inputs = check_fresh(features_path)
     features = read_features_csv(features_path)
-    mat = apply_log_columns(features.as_matrix(),
-                            tuple(map(FEATURE_NAMES.index, log_features)))
-    normalized, norm_params = normalize_features(mat)
-    grid = train_som(normalized, width=width, height=height, epochs=epochs,
-                     seed=seed, norm_params=norm_params)
-    assignment = assign_nodes(grid, normalized)
-    stats = cell_stats(assignment, features, feature_names=FEATURE_NAMES)
+    try:
+        grid, assignment, stats = categorize(features, width, height, epochs,
+                                             seed, log_features)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the values cannot be categorized: name their file
+        raise ValueError(f"{features_path}: {exc}") from exc
 
     prefix = Path(out_prefix)
     assign_path = prefix.with_name(prefix.name + ".assign.csv")
@@ -228,12 +227,7 @@ def stage_render_heatmap(cells_path: str | Path, out_path: str | Path) -> None:
 def stage_render_pies(trace_path: str | Path, out_path: str | Path, t: float,
                       radius_mode: str = _RADIUS_MODE) -> None:
     inputs = check_fresh(trace_path)
-    trace = read_trace_csv(trace_path)
-    idx = trace.nearest_index(t)
-    svg = render_pie_lattice(trace.counts[idx], trace.width, trace.height,
-                             trace.state_names, t=trace.times[idx],
-                             radius_mode=radius_mode,
-                             time_label=trace.time_label)
+    svg = render_pie_lattice(read_trace_csv(trace_path), t, radius_mode)
     _write_meta(out_path, write_text(out_path, svg), "render-pies",
                 {"t": t, "radius_mode": radius_mode}, None, inputs)
 

@@ -224,19 +224,20 @@ def _legend(state_names: tuple[str, ...], colors: tuple[str, ...],
     return "".join(out)
 
 
-def render_pie_lattice(counts: np.ndarray, width: int, height: int,
-                       state_names: tuple[str, ...], t: float | None = None,
-                       radius_mode: str = _RADIUS_MODE,
-                       time_label: str = "t") -> str:
-    """Pie-chart lattice for one snapshot: sector angles are proportional to
-    each state's share of the cell's agents; empty cells stay blank."""
-    colors = default_palette(state_names)
+def render_pie_lattice(trace: SimTrace, t: float,
+                       radius_mode: str = _RADIUS_MODE) -> str:
+    """Pie-chart lattice for the snapshot nearest ``t``: sector angles are
+    proportional to each state's share of the cell's agents; empty cells
+    stay blank. The caption shows the snapshot's true time."""
+    idx = trace.nearest_index(t)
+    colors = default_palette(trace.state_names)
     ml, mt = 24, 30
-    gw, gh = width * PIE_CELL, height * PIE_CELL
-    body = [_legend(state_names, colors, ml, 8)]
-    if t is not None:
-        body.append(_text(ml + gw, 18, f"{time_label} = {t:g}", size=12, anchor="end"))
-    body.append(_pie_panel(counts, width, height, colors, radius_mode, ml, mt))
+    gw, gh = trace.width * PIE_CELL, trace.height * PIE_CELL
+    body = [_legend(trace.state_names, colors, ml, 8),
+            _text(ml + gw, 18, f"{trace.time_label} = {trace.times[idx]:g}",
+                  size=12, anchor="end"),
+            _pie_panel(trace.counts[idx], trace.width, trace.height, colors,
+                       radius_mode, ml, mt)]
     return _svg_doc(ml + gw + 12, mt + gh + 22, "".join(body))
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, ConfigError, check
 from .graph import (finite_float, lattice, nonnegative_int, read_csv,
                     read_node_csv, write_text)
+from .metrics import FEATURE_NAMES, NodeFeatures
 
 SIGMA_END = 0.5       # end radius; the start radius is max(width, height)/2
 _SOM = DEFAULT_CONFIG["som"]
@@ -70,15 +71,12 @@ class CellStats:
         return self.counts == 0
 
 
-def normalize_features(features) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def normalize_features(mat: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Min-max scale each column to [0, 1]; a constant column maps to 0.5.
 
-    Accepts a 2-D array or anything exposing ``as_matrix()``. Returns the
-    scaled matrix and the (min, max) per column used for scaling.
+    Returns the scaled matrix and the (min, max) per column used for scaling.
     """
-    if hasattr(features, "as_matrix"):
-        features = features.as_matrix()
-    mat = np.asarray(features, dtype=np.float64)
+    mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 2:
         raise ValueError("need a 2-D feature matrix with at least 2 rows")
     if not np.isfinite(mat).all():
@@ -88,18 +86,6 @@ def normalize_features(features) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarr
     span = hi - lo
     out = np.where(span == 0.0, 0.5, (mat - lo) / np.where(span == 0.0, 1.0, span))
     return out, (lo, hi)
-
-
-def apply_log_columns(mat: np.ndarray, columns: tuple[int, ...]) -> np.ndarray:
-    """log10(1+x) on selected columns, for heavy-tailed features before
-    min-max scaling. Returns a new matrix."""
-    out = np.array(mat, dtype=np.float64, copy=True)
-    for j in columns:
-        col = out[:, j]
-        if (col < 0).any():
-            raise ValueError(f"column {j} has negative values; log scaling undefined")
-        out[:, j] = np.log10(1.0 + col)
-    return out
 
 
 def _sq_dists(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -191,19 +177,12 @@ def assign_nodes(grid: SomGrid, data: np.ndarray) -> CellAssignment:
                           y=(lin // grid.width).astype(np.int64))
 
 
-def cell_stats(assignment: CellAssignment, raw_features,
-               feature_names: tuple[str, ...] | None = None) -> CellStats:
+def cell_stats(assignment: CellAssignment, raw_features: np.ndarray,
+               feature_names: tuple[str, ...]) -> CellStats:
     """Per-cell node counts and arithmetic means of the raw feature columns."""
-    if hasattr(raw_features, "as_matrix"):
-        if feature_names is None:
-            from .metrics import FEATURE_NAMES
-            feature_names = FEATURE_NAMES
-        raw_features = raw_features.as_matrix()
     mat = np.asarray(raw_features, dtype=np.float64)
     if mat.shape[0] != assignment.n:
         raise ValueError("assignment does not cover the feature rows")
-    if feature_names is None:
-        feature_names = tuple(f"f{j}" for j in range(mat.shape[1]))
     counts, sums = _cell_sums(assignment.linear(), mat,
                               assignment.width * assignment.height)
     means = np.full(sums.shape, np.nan)
@@ -212,6 +191,27 @@ def cell_stats(assignment: CellAssignment, raw_features,
     return CellStats(width=assignment.width, height=assignment.height,
                      counts=counts, means=means,
                      feature_names=tuple(feature_names))
+
+
+def categorize(features: NodeFeatures, width: int = _SOM["width"],
+               height: int = _SOM["height"], epochs: int = _SOM["epochs"],
+               seed: int | None = None, log_features: tuple[str, ...] = ()
+               ) -> tuple[SomGrid, CellAssignment, CellStats]:
+    """The categorization step: log10(1+x) on the ``log_features`` columns,
+    then min-max scaling; train the map on the scaled rows, assign every
+    node to its cell, and average the raw features per cell."""
+    check("som", {"log_features": log_features})
+    raw = features.as_matrix()
+    mat = raw.copy()
+    for name in log_features:
+        col = mat[:, FEATURE_NAMES.index(name)]
+        if (col < 0).any():
+            raise ValueError(f"feature {name} has negative values; log scaling undefined")
+        col[:] = np.log10(1.0 + col)
+    normalized, norm_params = normalize_features(mat)
+    grid = train_som(normalized, width, height, epochs, seed, norm_params)
+    assignment = assign_nodes(grid, normalized)
+    return grid, assignment, cell_stats(assignment, raw, FEATURE_NAMES)
 
 
 # ---------------------------------------------------------------------------

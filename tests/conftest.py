@@ -63,6 +63,12 @@ def criterion_report():
     return record
 
 
+def pytest_report_header(config):
+    # the byte pins were recorded on one numpy; a pin that fails on another
+    # names the numpy it ran on
+    return f"numpy {np.__version__} (byte pins recorded on numpy 2.4.6)"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if _ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from netsom import (assign_nodes, build_graph, cell_stats, compute_all,
+from netsom import (assign_nodes, build_graph, categorize, compute_all,
                     compute_avg_neighbor_degree, compute_clustering,
                     degree_assortativity, generate_cnn, generate_hk,
                     normalize_features, play_round, ramp_color,
@@ -35,13 +35,9 @@ def one_cell(n):
 
 
 def som_pipeline(graph, master):
-    """Features -> normalize -> train -> assign -> stats, pipeline-seeded."""
-    feats = compute_all(graph)
-    norm, params = normalize_features(feats)
-    grid = train_som(norm, 5, 5, epochs=20, seed=derive_seed(master, 2),
-                     norm_params=params)
-    assignment = assign_nodes(grid, norm)
-    return feats, grid, assignment, cell_stats(assignment, feats)
+    """(grid, assignment, stats) of the graph's features, pipeline-seeded."""
+    return categorize(compute_all(graph), 5, 5, epochs=20,
+                      seed=derive_seed(master, 2))
 
 
 def test_criterion_1_metric_exactness(criterion_report):
@@ -111,7 +107,7 @@ def test_criterion_3_generator_targets(criterion_report):
 
 def test_criterion_4_som_sanity(criterion_report):
     g = generate_hk(2000, m=4, p_t=0.9, seed=derive_seed(0, 1))
-    norm, params = normalize_features(compute_all(g))
+    norm, params = normalize_features(compute_all(g).as_matrix())
     qe_ok = assigned_ok = 0
     for seed in range(10):
         grid = train_som(norm, 5, 5, epochs=20, seed=seed, norm_params=params)
@@ -138,7 +134,7 @@ def test_criterion_5_heatmap_gradients(criterion_report):
     rhos = []
     for master in range(10):
         g = generate_hk(10000, m=4, p_t=0.9, seed=derive_seed(master, 1))
-        _, _, _, stats = som_pipeline(g, master)
+        _, _, stats = som_pipeline(g, master)
         occ = ~stats.empty
         mean_k, mean_b, mean_c = (stats.means[:, j] for j in (0, 2, 4))
         argmax_hits += int(np.nanargmax(mean_b) == np.nanargmax(mean_k))
@@ -199,13 +195,13 @@ def test_criterion_8_sir_structure_correlations(criterion_report):
     cnn_knn, cnn_L = [], []
     for master in range(10):
         g = generate_hk(2000, m=4, p_t=0.9, seed=derive_seed(master, 1))
-        _, _, assignment, stats = som_pipeline(g, master)
+        _, assignment, stats = som_pipeline(g, master)
         trace = run_sir(g, assignment, seed=derive_seed(master, 3))
         frac, occ = terminal_r_fraction(stats, trace)
         hk_b.append(spearmanr(stats.means[occ, 2], frac[occ]).statistic)
 
         g = generate_cnn(2000, u=0.75, seed=derive_seed(master, 1))
-        _, _, assignment, stats = som_pipeline(g, master)
+        _, assignment, stats = som_pipeline(g, master)
         trace = run_sir(g, assignment, seed=derive_seed(master, 3))
         frac, occ = terminal_r_fraction(stats, trace)
         cnn_knn.append(spearmanr(stats.means[occ, 1], frac[occ]).statistic)

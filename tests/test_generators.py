@@ -26,7 +26,7 @@ class TestHK:
 
     def test_connected_and_simple(self):
         g = generate_hk(500, m=3, p_t=0.5, seed=7)
-        assert g.is_connected()
+        assert g.reached().all()
         for i in range(g.n):
             nbrs = list(g.neighbors(i))
             assert i not in nbrs
@@ -82,7 +82,7 @@ class TestCNN:
 
     def test_connected_and_simple(self):
         g = generate_cnn(800, u=0.75, seed=11)
-        assert g.is_connected()
+        assert g.reached().all()
         for i in range(g.n):
             nbrs = list(g.neighbors(i))
             assert i not in nbrs

@@ -71,8 +71,10 @@ BAD_VALUES = {
                 lambda tmp: update_strategies(path_graph(4), NO_STRATEGIES,
                                               np.zeros(4), tie="rand")),
     "render.radius_mode": ({"render": {"radius_mode": "pop"}},
-                           lambda tmp: render_pie_lattice(np.ones((1, 1)), 1, 1, ("S",),
-                                                          radius_mode="pop")),
+                           lambda tmp: render_pie_lattice(
+                               SimTrace(("S",), 1, 1, times=[0.0],
+                                        counts=[np.ones((1, 1))]),
+                               0.0, radius_mode="pop")),
     "generate.n >= 3": ({"generate": {"n": 2}},
                         lambda tmp: compute_all(path_graph(2))),
     "generate.n > generate.m": ({"generate": {"n": 4, "m": 4}},
@@ -531,7 +533,8 @@ class TestCli:
         ("sir", "lambda", float("nan")), ("render", "times", [1.0, float("nan")]),
         pytest.param("sir", "mu", 10**400, id="sir-mu-10**400"),
         ("generate", "model", "ba"), ("spd", "tie", "rand"),
-        ("render", "radius_mode", "pop"), ("som", "log_features", ["bb"])])
+        ("render", "radius_mode", "pop"), ("som", "log_features", ["bb"]),
+        ("som", "log_features", ["b", "b"])])
     def test_config_value_type_exit_2(self, tmp_path, capsys, section, key, value):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({**SMALL_CONFIG, section: {key: value}}))
@@ -610,6 +613,35 @@ class TestCli:
                               f"{row}\n").encode("latin-1"))
         assert main(["categorize", str(features), "-o", str(tmp_path / "out")]) == 3
         assert str(features) in capsys.readouterr().err
+        assert not list(tmp_path.glob("out.*"))
+
+    # values the reader accepts but the map cannot take: one node, or a
+    # negative value under the log
+    @pytest.mark.parametrize("rows,flags,message", [
+        pytest.param("0,1,1,0,1,0\n", [],
+                     "need a 2-D feature matrix with at least 2 rows", id="one-node"),
+        pytest.param("0,1,1,-0.5,1,0\n1,2,1,0,1,0\n", ["--log-features", "b"],
+                     "feature b has negative values", id="negative-log-b")])
+    def test_uncategorizable_features_exit_3(self, tmp_path, capsys, rows, flags,
+                                             message):
+        features = tmp_path / "bad.features.csv"
+        features.write_text("node,k,k_nn,b,L,C\n" + rows)
+        assert main(["categorize", str(features), *flags,
+                     "-o", str(tmp_path / "out")]) == 3
+        assert f"netsom: {features}: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out.*"))
+
+    @pytest.mark.parametrize("flags,message", [
+        pytest.param(["--log-features", "b,b"],
+                     "som.log_features must list each value at most once", id="b,b"),
+        pytest.param(["--grid", "1x1"], "som.width * som.height must be >= 2",
+                     id="1x1")])
+    def test_categorize_option_exit_2(self, tmp_path, capsys, flags, message):
+        features = tmp_path / "g.features.csv"
+        features.write_text("node,k,k_nn,b,L,C\n0,1,1,0,1,0\n1,2,1,0,1,0\n")
+        assert main(["categorize", str(features), *flags,
+                     "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"netsom: config error: {message}")
         assert not list(tmp_path.glob("out.*"))
 
     def test_tiny_snapshot_interval_records_every_sweep(self, tmp_path):

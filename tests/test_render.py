@@ -119,17 +119,24 @@ class TestHeatmaps:
         assert ramp_color(3.0, 3.0, 3.0) == ramp_color(1.0, 0.0, 1.0)
 
 
+def snapshot(counts, width, height, state_names, t=0.0):
+    """A trace of the one snapshot ``counts`` at time ``t``."""
+    trace = SimTrace(state_names=state_names, width=width, height=height)
+    trace.append(t, np.asarray(counts))
+    return trace
+
+
 class TestPieLattice:
     def test_single_state_full_circle(self):
         counts = np.array([[4], [0], [0]])
-        svg = render_pie_lattice(counts, 1, 1, ("S", "I", "R"))
+        svg = render_pie_lattice(snapshot(counts, 1, 1, ("S", "I", "R")), 0.0)
         ET.fromstring(svg)
         spans = sector_spans_degrees(svg)
         assert spans == [360.0]
 
     def test_quarter_three_quarter_split(self):
         counts = np.array([[1], [3]])
-        svg = render_pie_lattice(counts, 1, 1, ("C", "D"))
+        svg = render_pie_lattice(snapshot(counts, 1, 1, ("C", "D")), 0.0)
         spans = sector_spans_degrees(svg)
         assert spans[0] == pytest.approx(90.0, abs=1e-6)
         assert spans[1] == pytest.approx(270.0, abs=1e-6)
@@ -138,7 +145,7 @@ class TestPieLattice:
         rng = np.random.default_rng(0)
         counts = rng.integers(0, 20, size=(3, 6))
         counts[:, 2] = 0  # one empty cell
-        svg = render_pie_lattice(counts, 3, 2, ("S", "I", "R"))
+        svg = render_pie_lattice(snapshot(counts, 3, 2, ("S", "I", "R")), 0.0)
         spans = sector_spans_degrees(svg)
         pies = sum(1 for c in range(6) if counts[:, c].sum() > 0)
         assert sum(spans) == pytest.approx(360.0 * pies, abs=1e-6)
@@ -146,12 +153,12 @@ class TestPieLattice:
     def test_empty_cell_draws_nothing(self):
         counts = np.zeros((2, 4), dtype=int)
         counts[0, 1] = 5
-        svg = render_pie_lattice(counts, 2, 2, ("C", "D"))
+        svg = render_pie_lattice(snapshot(counts, 2, 2, ("C", "D")), 0.0)
         assert len(sector_spans_degrees(svg)) == 1
 
     def test_population_radius_mode(self):
         counts = np.array([[8, 2], [0, 0]])
-        svg = render_pie_lattice(counts, 2, 1, ("C", "D"),
+        svg = render_pie_lattice(snapshot(counts, 2, 1, ("C", "D")), 0.0,
                                  radius_mode="population")
         radii = sorted(float(m.group(1)) for m in
                        re.finditer(r'r="([0-9.]+)"', svg))
@@ -159,8 +166,8 @@ class TestPieLattice:
 
     def test_deterministic(self):
         counts = np.array([[3, 1], [2, 2], [1, 0]])
-        a = render_pie_lattice(counts, 2, 1, ("S", "I", "R"), t=4.5)
-        b = render_pie_lattice(counts, 2, 1, ("S", "I", "R"), t=4.5)
+        a = render_pie_lattice(snapshot(counts, 2, 1, ("S", "I", "R"), 4.5), 4.5)
+        b = render_pie_lattice(snapshot(counts, 2, 1, ("S", "I", "R"), 4.5), 4.5)
         assert a == b
         assert "t = 4.5" in a
 
@@ -183,8 +190,7 @@ class TestTimeline:
 
     def test_single_time_embeds_same_pie_group(self):
         trace = small_trace()
-        single = render_pie_lattice(trace.counts[1], 2, 1, trace.state_names,
-                                    t=1.0)
+        single = render_pie_lattice(trace, 1.0)
         timeline = render_timeline(trace, [1.0])
 
         def inner_group(svg):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from netsom import (assign_nodes, cell_stats, compute_all, generate_hk,
-                    load_som_json, normalize_features,
-                    quantization_error, save_som_json, train_som)
-from netsom.som import (apply_log_columns, read_assignment_csv,
-                        read_cell_stats_csv, write_assignment_csv,
-                        write_cell_stats_csv)
+from netsom import (FEATURE_NAMES, NodeFeatures, assign_nodes, categorize,
+                    cell_stats, compute_all, generate_hk, load_som_json,
+                    normalize_features, quantization_error, save_som_json,
+                    train_som)
+from netsom.som import (read_assignment_csv, read_cell_stats_csv,
+                        write_assignment_csv, write_cell_stats_csv)
 
 
 def _grid(width, height, dim, seed):
@@ -41,10 +41,16 @@ class TestNormalize:
             normalize_features(np.array([[1.0, 2.0]]))
 
     def test_log_columns(self):
-        mat = np.array([[0.0, 1.0], [9.0, 2.0]])
-        out = apply_log_columns(mat, (0,))
-        assert out[:, 0].tolist() == [0.0, 1.0]  # log10(1), log10(10)
-        assert out[:, 1].tolist() == [1.0, 2.0]
+        # the map scales log10(1+k) and the raw b; the cell means stay raw
+        k = np.array([0, 9, 99])
+        feats = NodeFeatures(k=k, k_nn=np.ones(3), b=k.astype(float),
+                             L=np.ones(3), C=np.zeros(3))
+        grid, _, stats = categorize(feats, 2, 1, epochs=1, seed=0,
+                                    log_features=("k",))
+        assert grid.feat_min.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
+        assert grid.feat_max.tolist() == [2.0, 1.0, 99.0, 1.0, 0.0]
+        occ = ~stats.empty
+        assert (stats.means[occ, 0] * stats.counts[occ]).sum() == 108
 
 
 class TestTraining:
@@ -67,7 +73,7 @@ class TestTraining:
 
     def test_quantization_error_improves(self):
         g = generate_hk(400, m=4, p_t=0.9, seed=2)
-        norm, _ = normalize_features(compute_all(g))
+        norm, _ = normalize_features(compute_all(g).as_matrix())
         grid = train_som(norm, 5, 5, epochs=5, seed=3)
         assert grid.qe_final <= grid.qe_initial
         assert grid.qe_final == pytest.approx(
@@ -149,7 +155,7 @@ class TestCellStats:
         data = np.random.default_rng(6).random((150, 5))
         grid = _grid(5, 5, 5, seed=6)
         a = assign_nodes(grid, data)
-        stats = cell_stats(a, data)
+        stats = cell_stats(a, data, FEATURE_NAMES)
         assert stats.counts.sum() == 150
         # brute-force recomputation per populated cell
         lin = a.linear()
@@ -164,7 +170,7 @@ class TestCellStats:
         data = np.arange(12, dtype=float).reshape(6, 2)
         a = CellAssignment(width=2, height=2, x=np.zeros(6, dtype=np.int64),
                            y=np.zeros(6, dtype=np.int64))
-        stats = cell_stats(a, data)
+        stats = cell_stats(a, data, ("x", "y"))
         np.testing.assert_allclose(stats.means[0], data.mean(axis=0))
         assert stats.counts.tolist() == [6, 0, 0, 0]
 
@@ -174,7 +180,7 @@ class TestCellStats:
         a = CellAssignment(width=1, height=1,
                            x=np.zeros(2, dtype=np.int64),
                            y=np.zeros(2, dtype=np.int64))
-        stats = cell_stats(a, data)
+        stats = cell_stats(a, data, ("x",))
         assert stats.means[0, 0] == 3.0
 
 
@@ -221,10 +227,7 @@ class TestSerialization:
         feats = compute_all(g)
         outs = []
         for run in range(2):
-            norm, params = normalize_features(feats)
-            grid = train_som(norm, 5, 5, epochs=3, seed=17, norm_params=params)
-            a = assign_nodes(grid, norm)
-            stats = cell_stats(a, feats)
+            _, a, stats = categorize(feats, 5, 5, epochs=3, seed=17)
             pa = tmp_path / f"a{run}.csv"
             pc = tmp_path / f"c{run}.csv"
             write_assignment_csv(a, pa)
