@@ -26,7 +26,7 @@ cnn = generate_cnn(n, u=0.75, seed=42)
 for name, g in (("hk", hk), ("cnn", cnn)):
     deg = g.degrees
     print(f"{name}: n={g.n} edges={g.num_edges} <k>={g.mean_degree:.3f} "
-          f"k_max={deg.max()} connected={bool(g.reached().all())}")
+          f"k_max={deg.max()}")
     print(f"     mean clustering {compute_clustering(g).mean():.3f}, "
           f"assortativity {degree_assortativity(g):+.3f}")
     save_edge_list(g, OUT / f"{name}.edges")

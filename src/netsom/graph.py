@@ -59,19 +59,6 @@ class Graph:
         row = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         return row, self.indices.astype(np.int64)
 
-    def reached(self) -> np.ndarray:
-        """Boolean mask of the nodes that have a path from node 0."""
-        seen = np.zeros(self.n, dtype=bool)
-        seen[:1] = True
-        frontier = np.flatnonzero(seen)
-        while frontier.size:
-            nxt = gather_rows(self.indptr, self.indices,
-                              self.degrees[frontier], frontier)
-            nxt = nxt[np.flatnonzero(~seen[nxt])]
-            seen[nxt] = True
-            frontier = np.unique(nxt)
-        return seen
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

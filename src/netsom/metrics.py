@@ -11,9 +11,9 @@ as its reach: itself plus everything hanging off it outside the block.
 The pairs that a cut vertex separates are counted in closed form, and the
 distance sums are rerooted along the block-cut tree, so the values are
 exact (Puzis et al. 2012). A leaf is a 2-node block. Every node needs an
-average path length, so connectivity is checked once, before the pass: a
-disconnected graph is rejected, naming node 0 and the lowest node with no
-path from it. Sources run in units of up to 512 per block on forked worker
+average path length, so the depth-first search rejects a disconnected
+graph before the pass, naming node 0 and the lowest node with no path from
+it. Sources run in units of up to 512 per block on forked worker
 processes, so exact values stay tractable at 10^4 nodes.
 """
 
@@ -100,10 +100,6 @@ def compute_all(graph: Graph) -> NodeFeatures:
     """
     if graph.n < 3:
         raise ValueError("feature vector needs at least 3 nodes")
-    reached = graph.reached()
-    if not reached.all():
-        raise ValueError(f"graph is disconnected: no path between nodes 0 "
-                         f"and {np.argmin(reached)}")
     raw, dist_sums = _brandes_all_sources(graph)
     return NodeFeatures(
         k=graph.degrees.copy(),
@@ -251,7 +247,8 @@ def _depth_first_blocks(graph: Graph):
     vertex towards node 0 (or node 0), and the block's other nodes are the
     pending ones from v on. Returns (disc, of, heads, sizes): each node's
     discovery number and the block of its edge to its parent (-1 for node
-    0), and each block's head and the size of v's subtree.
+    0), and each block's head and the size of v's subtree. A node left
+    undiscovered has no path from node 0: ValueError names the lowest.
     """
     n = graph.n
     # machine words, where a list would hold an int object per entry
@@ -298,6 +295,9 @@ def _depth_first_blocks(graph: Graph):
             del pending[pos[v]:]
             heads.append(u)
             sizes.append(size[v])
+    if found < n:
+        raise ValueError(f"graph is disconnected: no path between nodes 0 "
+                         f"and {disc.index(-1)}")
     return (np.array(disc), np.array(of), np.array(heads, dtype=np.int64),
             np.array(sizes, dtype=np.int64))
 
@@ -349,19 +349,15 @@ def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
         frontier = np.array([s], dtype=np.int64)
         counts = deg[frontier]
         frontier_deg = int(deg[s])
-        # undiscovered nodes: their count and degree sum, and their ids once
-        # a level is scanned bottom-up
+        # undiscovered nodes (dist -1): their count and degree sum
         left, left_deg = n - 1, indices.size - frontier_deg
-        rest = None
         # the BFS DAG, one (parents, children) edge list per level
         levels: list[tuple[np.ndarray, np.ndarray]] = []
 
         while left:
             up = frontier_deg > left_deg + left
-            if up:
-                rest = (np.flatnonzero(dist == -1) if rest is None
-                        else rest[np.flatnonzero(dist[rest] == -1)])
-            rows, row_counts = (rest, deg[rest]) if up else (frontier, counts)
+            rows = np.flatnonzero(dist == -1) if up else frontier
+            row_counts = deg[rows] if up else counts
             flat = gather_rows(indptr, indices, row_counts, rows)
             hit = np.flatnonzero(dist[flat] == (len(levels) if up else -1))
             near, far = np.repeat(rows, row_counts)[hit], flat[hit]

@@ -125,7 +125,13 @@ def stage_generate(out_path: str | Path, model: str = _GEN["model"],
 
 def stage_metrics(edges_path: str | Path, out_path: str | Path) -> NodeFeatures:
     inputs = check_fresh(edges_path)
-    features = compute_all(load_edge_list(edges_path))
+    graph = load_edge_list(edges_path)
+    try:
+        features = compute_all(graph)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the graph has no features: name its file
+        raise ValueError(f"{edges_path}: {exc}") from exc
     _write_meta(out_path, write_features_csv(features, out_path), "metrics",
                 {}, None, inputs)
     return features

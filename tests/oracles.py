@@ -15,10 +15,9 @@ def adjacency(graph) -> list[list[int]]:
     return [list(graph.neighbors(i)) for i in range(graph.n)]
 
 
-def all_shortest_paths(adj: list[list[int]], s: int, t: int) -> list[list[int]]:
-    """Every shortest s-t path, as explicit node sequences."""
-    n = len(adj)
-    dist = [-1] * n
+def bfs_distances(adj: list[list[int]], s: int) -> list[int]:
+    """Hop distance from s to every node, -1 where there is no path."""
+    dist = [-1] * len(adj)
     dist[s] = 0
     q = deque([s])
     while q:
@@ -27,6 +26,17 @@ def all_shortest_paths(adj: list[list[int]], s: int, t: int) -> list[list[int]]:
             if dist[w] == -1:
                 dist[w] = dist[v] + 1
                 q.append(w)
+    return dist
+
+
+def is_connected(graph) -> bool:
+    """Every node has a path from node 0."""
+    return -1 not in bfs_distances(adjacency(graph), 0)
+
+
+def all_shortest_paths(adj: list[list[int]], s: int, t: int) -> list[list[int]]:
+    """Every shortest s-t path, as explicit node sequences."""
+    dist = bfs_distances(adj, s)
     if dist[t] == -1:
         return []
     paths: list[list[int]] = []

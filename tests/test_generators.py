@@ -3,6 +3,7 @@ import pytest
 
 from netsom import compute_clustering, degree_assortativity, generate_cnn, generate_hk
 from netsom import generators
+from oracles import is_connected
 
 
 def hk_expected_edges(n, m):
@@ -26,7 +27,7 @@ class TestHK:
 
     def test_connected_and_simple(self):
         g = generate_hk(500, m=3, p_t=0.5, seed=7)
-        assert g.reached().all()
+        assert is_connected(g)
         for i in range(g.n):
             nbrs = list(g.neighbors(i))
             assert i not in nbrs
@@ -82,7 +83,7 @@ class TestCNN:
 
     def test_connected_and_simple(self):
         g = generate_cnn(800, u=0.75, seed=11)
-        assert g.reached().all()
+        assert is_connected(g)
         for i in range(g.n):
             nbrs = list(g.neighbors(i))
             assert i not in nbrs

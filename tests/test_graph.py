@@ -154,23 +154,10 @@ def test_edge_array_canonical():
     assert e.tolist() == sorted(e.tolist())
 
 
-def test_is_connected():
-    assert build_graph(3, [(0, 1), (1, 2)]).reached().all()
-    assert not build_graph(3, [(0, 1)]).reached().all()
-    assert build_graph(1, []).reached().all()
-
-
 def test_immutable_arrays():
     g = build_graph(3, [(0, 1)])
     with pytest.raises(ValueError):
         g.indices[0] = 2
-
-
-def test_reached_marks_the_component_of_node_0():
-    g = build_graph(5, [(0, 3), (3, 4), (1, 2)])
-    assert g.reached().tolist() == [True, False, False, True, True]
-    assert build_graph(0, []).reached().size == 0
-    assert build_graph(0, []).reached().all()
 
 
 def test_equal_graphs_are_unhashable():

@@ -146,6 +146,8 @@ DISCONNECTED = [
     ([(0, 1), (2, 3), (3, 4), (2, 4)], 5, (0, 2)),
     ([(0, 1), (0, 2), (0, 3), (0, 4)], 6, (0, 5)),
     ([(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (4, 6)], 7, (0, 4)),
+    # the depth-first search runs 1999 deep before it finds node 2000 missing
+    ([(i, i + 1) for i in range(1999)], 2001, (0, 2000)),
 ]
 
 
@@ -183,7 +185,7 @@ class TestLeafPruning:
 
     @pytest.mark.parametrize("edges, n, pair", DISCONNECTED,
                              ids=["K2_beside_triangle", "star_and_isolated_node",
-                                  "star_of_leaf_0"])
+                                  "star_of_leaf_0", "P2000_and_isolated_node"])
     def test_disconnected_raises_with_original_ids(self, edges, n, pair):
         with pytest.raises(ValueError, match="no path between") as exc:
             compute_all(build_graph(n, edges))
@@ -261,6 +263,17 @@ class TestComputeAll:
     def test_p3_middle(self):
         f = compute_all(P3)
         assert (f.k[1], f.k_nn[1], f.b[1], f.L[1], f.C[1]) == (2, 1, 1, 1, 0)
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        # the depth-first search reaches depth n - 1 = 1999, above Python's
+        # default recursion limit of 1000; distance sums and path counts
+        # are integers, so both features are exact
+        n = 2000
+        f = compute_all(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
+        i = np.arange(n)
+        assert np.array_equal(
+            f.L, (i * (i + 1) // 2 + (n - 1 - i) * (n - i) // 2) / (n - 1))
+        assert np.array_equal(f.b, 2 * i * (n - 1 - i) / ((n - 1) * (n - 2)))
 
     def test_handshake_on_generated_graph(self):
         g = generate_hk(2000, m=4, p_t=0.9, seed=1)

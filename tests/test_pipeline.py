@@ -594,6 +594,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{bad}:3:" in err and "out of range" in err
 
+    # edge lists the reader accepts but that have no features: too few
+    # nodes, or a node with no path from node 0
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("0 1\n", "feature vector needs at least 3 nodes", id="K2"),
+        pytest.param("0 1\n2 3\n", "graph is disconnected: no path between "
+                     "nodes 0 and 2", id="two-K2")])
+    def test_featureless_graph_exit_3(self, tmp_path, capsys, text, message):
+        edges = tmp_path / "two.edges"
+        edges.write_text(text)
+        assert main(["metrics", str(edges)]) == 3
+        assert capsys.readouterr().err == f"netsom: {edges}: {message}\n"
+        assert not (tmp_path / "two.features.csv").exists()
+
     @pytest.mark.parametrize("text,where", [
         ("0 1\n1 1\n", ":2: self-loop on node 1"),
         ("# nodes: 100000000000000\n0 1\n", ":1: node count 100000000000000"),
