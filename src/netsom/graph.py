@@ -70,15 +70,15 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
-def gather_rows(indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray,
+def gather_rows(indptr: np.ndarray, counts: np.ndarray,
                 nodes: np.ndarray) -> np.ndarray:
-    """Concatenated CSR rows for ``nodes`` (duplicates preserved, in order)
-    without a Python-level loop; ``counts`` must equal their row lengths.
-    No nodes, or rows all empty, give an empty array of ``indices.dtype``."""
-    cum = np.cumsum(counts)
-    flat = np.arange(int(counts.sum()), dtype=np.int64)
-    flat += np.repeat(indptr[nodes] - (cum - counts), counts)
-    return indices[flat]
+    """Slot positions of the concatenated CSR rows of ``nodes`` (duplicates
+    preserved, in order), without a Python-level loop: ``indices[slots]``
+    are the rows' entries. ``counts`` must equal their row lengths. No
+    nodes, or rows all empty, give no slots."""
+    slots = (indptr[1:][nodes] - counts.cumsum()).repeat(counts)
+    slots += np.arange(slots.size)
+    return slots
 
 
 def build_graph(node_count: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:

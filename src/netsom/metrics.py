@@ -164,7 +164,9 @@ def _brandes_all_sources(graph: Graph):
     Each block's sources split into units of up to SOURCE_BLOCK, and
     consecutive units share a job up to SOURCE_BLOCK sources in all, so
     that thousands of bridges do not cost a round trip to a worker each.
-    The jobs run through :func:`fork_map`, on as many forked workers as the
+    A bridge, a 2-node block, takes its closed form in its own unit, and
+    the units are summed in order, so the bits stay the kernel's. The jobs
+    run through :func:`fork_map`, on as many forked workers as the
     NETSOM_THREADS cap allows; the workers inherit the blocks through the
     fork rather than a pickle.
     """
@@ -184,6 +186,9 @@ def _brandes_all_sources(graph: Graph):
     def run(job):
         results = []
         for a, z, lo in job:
+            if z - a == 2:
+                results.append(_brandes_bridge(ell[a:z]))
+                continue
             rows = union.indptr[a:z + 1]
             block = Graph(z - a, rows - rows[0],
                           union.indices[rows[0]:rows[-1]] - a)
@@ -302,6 +307,15 @@ def _depth_first_blocks(graph: Graph):
             np.array(sizes, dtype=np.int64))
 
 
+def _brandes_bridge(ell: np.ndarray):
+    """What :func:`_brandes_block` returns for a 2-node block {u, v}, in
+    closed form: raw = (omega(v) ell(u), omega(u) ell(v)) and W = (omega(v),
+    omega(u)), with omega = 1 + ell. The kernel forms the same integer
+    products in float64, so the bits are the same."""
+    swap = (1 + ell)[::-1]
+    return np.multiply(ell, swap, dtype=np.float64), swap
+
+
 def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
     """Reach-weighted raw betweenness within one biconnected block, summed
     over its sources lo..lo+SOURCE_BLOCK-1, and those sources' weighted
@@ -319,7 +333,19 @@ def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
     the output bits, do not depend on the direction. A level's DAG edges
     are selected by the index array of its hits, not by a boolean mask:
     both pick the same entries in the same order, but numpy's masked
-    indexing costs several times np.flatnonzero and two integer takes.
+    indexing costs several times a nonzero and two integer takes.
+
+    On a block of a few thousand nodes a level gathers a few thousand
+    entries, so the kernel is bound by the number of numpy calls, not by
+    the data they move: it calls the ndarray methods (nonzero, repeat,
+    cumsum), which cost about half their np.* wrappers; takes each hit's
+    row from one per-slot owner array; keeps each level's sigma[parents]
+    for the backward pass; and writes sigma on the new frontier only (a
+    node's sigma is final once its level is done, and no node's is read
+    before the BFS reaches it). The first level is s's own row, read as a
+    slice: each neighbor has sigma 1, and that level's backward step
+    would add only to delta(s), which is zeroed, so it is not recorded.
+    2-node blocks never get here (see :func:`_brandes_bridge`).
 
     What hangs off the block costs no per-level work: delta starts at ell
     and the recursion's (1 + delta[child]) stays, so each child w
@@ -331,6 +357,7 @@ def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
     indptr = block.indptr.astype(np.int64)
     indices = block.indices.astype(np.int64)
     deg = block.degrees
+    owner = np.arange(n).repeat(deg)  # the row of each CSR slot
     sources = range(lo, min(lo + SOURCE_BLOCK, n))
     omega = 1 + ell
 
@@ -338,48 +365,51 @@ def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
     dist_sums = np.zeros(len(sources), dtype=np.int64)
 
     dist = np.empty(n, dtype=np.int32)
-    sigma = np.empty(n)
+    sigma = np.empty(n)  # set on each node as the BFS reaches it
     delta = np.empty(n)
 
     for s in sources:
         dist.fill(-1)
-        sigma.fill(0.0)
         dist[s] = 0
-        sigma[s] = 1.0
-        frontier = np.array([s], dtype=np.int64)
+        # distance 1: s's row, each node on one shortest path
+        frontier = indices[indptr[s]:indptr[s + 1]]
+        dist[frontier] = 1
+        sigma[frontier] = 1.0
         counts = deg[frontier]
-        frontier_deg = int(deg[s])
+        frontier_deg = int(counts.sum())
         # undiscovered nodes (dist -1): their count and degree sum
-        left, left_deg = n - 1, indices.size - frontier_deg
-        # the BFS DAG, one (parents, children) edge list per level
-        levels: list[tuple[np.ndarray, np.ndarray]] = []
+        left = n - 1 - frontier.size
+        left_deg = indices.size - frontier.size - frontier_deg
+        # the BFS DAG from distance 1 on, one (parents, children,
+        # sigma[parents]) per level; parents at distance len(levels) + 1
+        levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
         while left:
             up = frontier_deg > left_deg + left
-            rows = np.flatnonzero(dist == -1) if up else frontier
-            row_counts = deg[rows] if up else counts
-            flat = gather_rows(indptr, indices, row_counts, rows)
-            hit = np.flatnonzero(dist[flat] == (len(levels) if up else -1))
-            near, far = np.repeat(rows, row_counts)[hit], flat[hit]
+            rows = (dist == -1).nonzero()[0] if up else frontier
+            slots = gather_rows(indptr, deg[rows] if up else counts, rows)
+            flat = indices[slots]
+            hit = (dist[flat] == (len(levels) + 1 if up else -1)).nonzero()[0]
+            near, far = owner[slots[hit]], flat[hit]
             parents, children = (far, near) if up else (near, far)
-            add = np.bincount(children, weights=sigma[parents], minlength=n)
-            sigma += add
-            levels.append((parents, children))
-            frontier = np.flatnonzero(add > 0)
-            dist[frontier] = len(levels)
+            weights = sigma[parents]
+            add = np.bincount(children, weights=weights, minlength=n)
+            levels.append((parents, children, weights))
+            frontier = (add > 0).nonzero()[0]
+            sigma[frontier] = add[frontier]
+            dist[frontier] = len(levels) + 1
             counts = deg[frontier]
             frontier_deg = int(counts.sum())
             left -= frontier.size
             left_deg -= frontier_deg
 
-        dist_sums[s - lo] = (omega * dist).sum()
+        dist_sums[s - lo] = omega.dot(dist)
 
         # backward: dependency accumulation from the deepest level inward
         np.copyto(delta, ell)
-        for parents, children in reversed(levels):
+        for parents, children, weights in reversed(levels):
             coeff = (1.0 + delta[children]) / sigma[children]
-            delta += np.bincount(parents, weights=sigma[parents] * coeff,
-                                 minlength=n)
+            delta += np.bincount(parents, weights=weights * coeff, minlength=n)
         delta[s] = 0.0
         delta *= omega[s]  # s and each of its leaves as source
         raw += delta

@@ -171,8 +171,9 @@ def test_equal_graphs_are_unhashable():
 def test_gather_rows_of_nothing_is_empty():
     g = build_graph(4, [(0, 1)])
     for nodes in (np.empty(0, dtype=np.int64), np.array([2, 3, 2])):
-        flat = gather_rows(g.indptr, g.indices, g.degrees[nodes], nodes)
-        assert flat.size == 0 and flat.dtype == np.int32
+        slots = gather_rows(g.indptr, g.degrees[nodes], nodes)
+        assert slots.size == 0 and g.indices[slots].dtype == np.int32
     nodes = np.array([3, 1, 0, 1])
-    flat = gather_rows(g.indptr, g.indices, g.degrees[nodes], nodes)
-    assert flat.tolist() == [0, 1, 0]
+    slots = gather_rows(g.indptr, g.degrees[nodes], nodes)
+    assert slots.tolist() == [1, 0, 1]
+    assert g.indices[slots].tolist() == [0, 1, 0]

@@ -253,6 +253,22 @@ class TestBiconnectedBlocks:
         for _ in range(40):
             TestLeafPruning.check(_random_glued(rng))
 
+    def test_bridge_closed_form_is_the_kernel(self):
+        # the kernel stays the reference: on every 2-node block, the closed
+        # form must give its raw betweenness and distance sums bit for bit
+        g = generate_cnn(2000, u=0.75, seed=1)
+        _, start, _, union, ell = metrics._biconnected_blocks(g)
+        bridges = [(a, z) for a, z in zip(start[:-1].tolist(),
+                                           start[1:].tolist()) if z - a == 2]
+        assert len(bridges) > 500
+        for a, z in bridges:
+            rows = union.indptr[a:z + 1]
+            block = Graph(2, rows - rows[0], union.indices[rows[0]:rows[-1]] - a)
+            raw, sums = metrics._brandes_block(block, ell[a:z], 0)
+            closed_raw, closed_sums = metrics._brandes_bridge(ell[a:z])
+            assert raw.tobytes() == closed_raw.tobytes()
+            assert sums.tobytes() == closed_sums.tobytes()
+
 
 class TestComputeAll:
     def test_k3_rows(self):
