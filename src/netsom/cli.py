@@ -47,18 +47,15 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _int_at_least(low: int, what: str):
-    """An argparse type: an integer >= ``low``, else a usage error."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                f"{what} must be an integer >= {low}, got {text!r}")
-        return value
-    return parse
+def _runs(text: str) -> int:
+    """An argparse type: a run count, an integer >= 1."""
+    try:
+        runs = int(text)
+    except ValueError:
+        runs = 0
+    if runs < 1:
+        raise argparse.ArgumentTypeError(f"runs must be an integer >= 1, got {text!r}")
+    return runs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=CHOICES["generate.model"], required=True)
     p.add_argument("--n", type=int, default=gen["n"])
     p.add_argument("--m", type=int, default=gen["m"], help="edges per arriving node (hk)")
-    p.add_argument("--pt", type=finite_float, default=gen["p_t"],
-                   help="triad-formation probability (hk)")
+    p.add_argument("--pt", dest="p_t", metavar="PT", type=finite_float,
+                   default=gen["p_t"], help="triad-formation probability (hk)")
     p.add_argument("--u", type=finite_float, default=gen["u"],
                    help="conversion probability (cnn)")
     p.add_argument("--seed", type=_seed, default=seed)
@@ -124,22 +121,22 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("cells")
     ph.add_argument("-o", "--output", required=True)
 
-    pp = ren.add_parser("pies", help="pie lattice for one snapshot")
-    pp.add_argument("trace")
-    pp.add_argument("--t", type=finite_float, required=True)
-    pp.add_argument("--radius", choices=CHOICES["render.radius_mode"], default=radius)
-    pp.add_argument("-o", "--output", required=True)
-
-    pt = ren.add_parser("timeline", help="pie lattices for several snapshots")
-    pt.add_argument("trace")
-    pt.add_argument("--times", type=_parse_times, default=None)
-    pt.add_argument("--radius", choices=CHOICES["render.radius_mode"], default=radius)
-    pt.add_argument("-o", "--output", required=True)
+    # pies and timeline differ only in the option that picks the snapshots
+    for name, text, flag, when in (
+            ("pies", "pie lattice for one snapshot", "--t",
+             {"type": finite_float, "required": True}),
+            ("timeline", "pie lattices for several snapshots", "--times",
+             {"type": _parse_times, "default": None})):
+        pr = ren.add_parser(name, help=text)
+        pr.add_argument("trace")
+        pr.add_argument(flag, **when)
+        pr.add_argument("--radius", choices=CHOICES["render.radius_mode"], default=radius)
+        pr.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("run", help="full pipeline from a JSON config")
     p.add_argument("config")
     p.add_argument("-o", "--outdir", default=None)
-    p.add_argument("--runs", type=_int_at_least(1, "runs"), default=1,
+    p.add_argument("--runs", type=_runs, default=1,
                    help="ensemble of independent seeded runs (NETSOM_THREADS caps workers)")
 
     return parser
@@ -155,7 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        print(_dispatch(args))
+        return 0
     except ConfigError as exc:
         print(f"netsom: config error: {exc}", file=sys.stderr)
         return 2
@@ -164,20 +162,19 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace) -> str:
+    """Run the command; returns the line that reports what it wrote."""
     if args.command == "generate":
         graph = pipeline.stage_generate(
-            args.output, model=args.model, n=args.n, m=args.m, p_t=args.pt,
-            u=args.u, seed=args.seed)
-        print(f"wrote {args.output}: n={graph.n} edges={graph.num_edges} "
-              f"<k>={graph.mean_degree:.3f}")
-        return 0
+            args.output, seed=args.seed,
+            **{key: getattr(args, key) for key in DEFAULT_CONFIG["generate"]})
+        return (f"wrote {args.output}: n={graph.n} edges={graph.num_edges} "
+                f"<k>={graph.mean_degree:.3f}")
 
     if args.command == "metrics":
         out = args.output or _default_output(args.edges, ".edges", ".features.csv")
         pipeline.stage_metrics(args.edges, out)
-        print(f"wrote {out}")
-        return 0
+        return f"wrote {out}"
 
     if args.command == "categorize":
         prefix = args.out_prefix or str(_default_output(args.features,
@@ -187,9 +184,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         grid, _, _ = pipeline.stage_categorize(
             args.features, prefix, width=width, height=height,
             epochs=args.epochs, seed=args.seed, log_features=names)
-        print(f"wrote {prefix}.assign.csv {prefix}.cells.csv {prefix}.som.json "
-              f"(qe {grid.qe_initial:.4f} -> {grid.qe_final:.4f})")
-        return 0
+        written = " ".join(prefix + suffix for suffix in pipeline.CATEGORIZE_SUFFIXES)
+        return f"wrote {written} (qe {grid.qe_initial:.4f} -> {grid.qe_final:.4f})"
 
     if args.command == "simulate":
         out = args.output or _default_output(args.edges, ".edges",
@@ -198,8 +194,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         stage = getattr(pipeline, f"stage_simulate_{args.sim}")
         trace = stage(args.edges, args.assignment, out, seed=args.seed,
                       **pipeline.stage_keywords(params))
-        print(f"wrote {out}: {trace.time_label}={trace.terminal_time:g}")
-        return 0
+        return f"wrote {out}: {trace.time_label}={trace.terminal_time:g}"
 
     if args.command == "render":
         if args.what == "heatmap":
@@ -210,8 +205,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             pipeline.stage_render_timeline(args.trace, args.output, args.times,
                                            radius_mode=args.radius)
-        print(f"wrote {args.output}")
-        return 0
+        return f"wrote {args.output}"
 
     if args.command == "run":
         try:
@@ -225,8 +219,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             pipeline.run_ensemble(config, outdir, args.runs)
         else:
             pipeline.full_run(config, outdir)
-        print(f"report in {outdir}")
-        return 0
+        return f"report in {outdir}"
 
     raise AssertionError(f"unhandled command {args.command}")
 

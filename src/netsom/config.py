@@ -30,7 +30,7 @@ CHOICES: dict = {
 # the bounds of each number key: every (operator, limit) pair must hold
 RANGES: dict = {
     "seed": ((">=", 0),),
-    "generate.n": ((">=", 1),),
+    "generate.n": ((">=", 1), ("<", 2**31)),  # node ids are int32
     "generate.m": ((">=", 1),),
     "generate.p_t": ((">=", 0), ("<=", 1)),
     "generate.u": ((">", 0), ("<", 1)),

@@ -87,7 +87,7 @@ def generate_cnn(n: int, u: float = _GEN["u"], seed: int | None = None) -> Graph
     2/(1-u).
 
     Args:
-        n: total node count, >= 1.
+        n: total node count, >= 1 and < 2**31.
         u: conversion probability, strictly inside (0, 1).
         seed: RNG seed; same seed reproduces the identical edge set.
     """

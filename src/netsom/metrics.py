@@ -110,20 +110,6 @@ def compute_all(graph: Graph) -> NodeFeatures:
     )
 
 
-def degree_assortativity(graph: Graph) -> float:
-    """Pearson correlation of end-point degrees over all edges (both
-    orientations); positive when similar-degree nodes attach to each other."""
-    src, dst = graph.directed_edges()
-    if src.size == 0:
-        return 0.0
-    x = graph.degrees[src].astype(np.float64)
-    y = graph.degrees[dst].astype(np.float64)
-    vx = x.var()
-    if vx == 0.0:
-        return 0.0  # regular graph: correlation undefined, report 0
-    return float(((x - x.mean()) * (y - y.mean())).mean() / vx)
-
-
 # ---------------------------------------------------------------------------
 # Brandes accumulation, one vectorized BFS per source, per biconnected block
 

@@ -34,6 +34,9 @@ from .spd import run_spd
 # SeedSequence([master, code]); ensemble run i uses SeedSequence([master, 9, i])
 STAGE_CODES = {"generate": 1, "categorize": 2, "sir": 3, "spd": 4}
 
+# the three artifacts of categorize, each named <prefix><suffix>
+CATEGORIZE_SUFFIXES = (".assign.csv", ".cells.csv", ".som.json")
+
 _GEN = DEFAULT_CONFIG["generate"]
 _SOM = DEFAULT_CONFIG["som"]
 _SIR = DEFAULT_CONFIG["sir"]
@@ -102,6 +105,19 @@ def check_fresh(*paths: str | Path) -> dict[str, str]:
     return digests
 
 
+def _named(path: str | Path, compute, *args):
+    """``compute(*args)`` on what a reader returned from ``path``, with the
+    path in front of a ValueError that is not a ConfigError: the values in
+    that file cannot be computed on. Run no reader under it; a reader's
+    errors already name ``file:line``."""
+    try:
+        return compute(*args)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # stages
 
@@ -125,13 +141,7 @@ def stage_generate(out_path: str | Path, model: str = _GEN["model"],
 
 def stage_metrics(edges_path: str | Path, out_path: str | Path) -> NodeFeatures:
     inputs = check_fresh(edges_path)
-    graph = load_edge_list(edges_path)
-    try:
-        features = compute_all(graph)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # the graph has no features: name its file
-        raise ValueError(f"{edges_path}: {exc}") from exc
+    features = _named(edges_path, compute_all, load_edge_list(edges_path))
     _write_meta(out_path, write_features_csv(features, out_path), "metrics",
                 {}, None, inputs)
     return features
@@ -142,23 +152,16 @@ def stage_categorize(features_path: str | Path, out_prefix: str | Path,
                      epochs: int = _SOM["epochs"], seed: int = _SEED,
                      log_features: tuple[str, ...] = ()):
     """Categorize the nodes of a features file (:func:`som.categorize`) and
-    write the three artifacts: <prefix>.assign.csv, <prefix>.cells.csv,
-    <prefix>.som.json."""
+    write the three artifacts, <prefix> plus each of CATEGORIZE_SUFFIXES:
+    the assignment, the cell statistics and the map."""
     check("som", {"log_features": log_features})
     inputs = check_fresh(features_path)
-    features = read_features_csv(features_path)
-    try:
-        grid, assignment, stats = categorize(features, width, height, epochs,
-                                             seed, log_features)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # the values cannot be categorized: name their file
-        raise ValueError(f"{features_path}: {exc}") from exc
-
+    grid, assignment, stats = _named(features_path, categorize,
+                                     read_features_csv(features_path), width,
+                                     height, epochs, seed, log_features)
     prefix = Path(out_prefix)
-    assign_path = prefix.with_name(prefix.name + ".assign.csv")
-    cells_path = prefix.with_name(prefix.name + ".cells.csv")
-    som_path = prefix.with_name(prefix.name + ".som.json")
+    assign_path, cells_path, som_path = (prefix.with_name(prefix.name + suffix)
+                                         for suffix in CATEGORIZE_SUFFIXES)
     written = [(assign_path, write_assignment_csv(assignment, assign_path)),
                (cells_path, write_cell_stats_csv(stats, cells_path)),
                (som_path, save_som_json(grid, som_path))]
@@ -226,14 +229,15 @@ def _simulate(name: str, edges_path: str | Path, assign_path: str | Path,
 
 def stage_render_heatmap(cells_path: str | Path, out_path: str | Path) -> None:
     inputs = check_fresh(cells_path)
-    svg = render_heatmaps(read_cell_stats_csv(cells_path))
+    svg = _named(cells_path, render_heatmaps, read_cell_stats_csv(cells_path))
     _write_meta(out_path, write_text(out_path, svg), "render-heatmap", {}, None, inputs)
 
 
 def stage_render_pies(trace_path: str | Path, out_path: str | Path, t: float,
                       radius_mode: str = _RADIUS_MODE) -> None:
     inputs = check_fresh(trace_path)
-    svg = render_pie_lattice(read_trace_csv(trace_path), t, radius_mode)
+    svg = _named(trace_path, render_pie_lattice, read_trace_csv(trace_path), t,
+                 radius_mode)
     _write_meta(out_path, write_text(out_path, svg), "render-pies",
                 {"t": t, "radius_mode": radius_mode}, None, inputs)
 
@@ -245,7 +249,7 @@ def stage_render_timeline(trace_path: str | Path, out_path: str | Path,
     trace = read_trace_csv(trace_path)
     if times is None:
         times = default_timeline_times(trace)
-    svg = render_timeline(trace, times, radius_mode=radius_mode)
+    svg = _named(trace_path, render_timeline, trace, times, radius_mode)
     _write_meta(out_path, write_text(out_path, svg), "render-timeline",
                 {"times": times, "radius_mode": radius_mode}, None, inputs)
 
@@ -309,8 +313,8 @@ def full_run(config: dict, outdir: str | Path, echo=print) -> dict:
     grid, assignment, stats = _stage(
         "categorize", stage_categorize, features_path, prefix,
         seed=derive_seed(master, STAGE_CODES["categorize"]), **s)
-    assign_path, cells_path, _ = (record(outdir / (model + suffix)) for suffix
-                                  in (".assign.csv", ".cells.csv", ".som.json"))
+    assign_path, cells_path, _ = (record(outdir / (model + suffix))
+                                  for suffix in CATEGORIZE_SUFFIXES)
     echo(f"categorize: grid {s['width']}x{s['height']}, "
          f"qe {grid.qe_initial:.4f} -> {grid.qe_final:.4f}")
     summary["cells"] = {

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles for the metric tests.
+"""Independent brute-force oracles for the metric tests, and the degree
+assortativity that the generator tests check.
 
 These deliberately avoid the library's algorithms: betweenness enumerates
 every shortest path explicitly, distances come from Floyd-Warshall, and
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+
+import numpy as np
 
 
 def adjacency(graph) -> list[list[int]]:
@@ -112,6 +115,20 @@ def clustering_bruteforce(graph) -> list[float]:
                     if b in set(graph.neighbors(a)))
         out.append(links / (k * (k - 1) / 2))
     return out
+
+
+def degree_assortativity(graph) -> float:
+    """Pearson correlation of end-point degrees over all edges (both
+    orientations); positive when similar-degree nodes attach to each other."""
+    src, dst = graph.directed_edges()
+    if src.size == 0:
+        return 0.0
+    x = graph.degrees[src].astype(np.float64)
+    y = graph.degrees[dst].astype(np.float64)
+    vx = x.var()
+    if vx == 0.0:
+        return 0.0  # regular graph: correlation undefined, report 0
+    return float(((x - x.mean()) * (y - y.mean())).mean() / vx)
 
 
 def avg_neighbor_degree_bruteforce(graph) -> list[float]:

@@ -14,7 +14,7 @@ from scipy.stats import spearmanr
 
 from netsom import (assign_nodes, build_graph, categorize, compute_all,
                     compute_avg_neighbor_degree, compute_clustering,
-                    degree_assortativity, generate_cnn, generate_hk,
+                    generate_cnn, generate_hk,
                     normalize_features, play_round, ramp_color,
                     run_sir, run_spd, train_som, update_strategies)
 from netsom.pipeline import derive_seed, full_run, sha256_file
@@ -22,7 +22,7 @@ from netsom.som import CellAssignment
 from netsom.spd import C, D
 from conftest import random_connected_graph
 from oracles import (avg_path_length_bruteforce, betweenness_bruteforce,
-                     clustering_bruteforce)
+                     clustering_bruteforce, degree_assortativity)
 from test_render import RECT_ID_RE, per_pie_angle_sums
 from test_spd import reference_update
 

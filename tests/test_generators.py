@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from netsom import compute_clustering, degree_assortativity, generate_cnn, generate_hk
+from netsom import compute_clustering, generate_cnn, generate_hk
 from netsom import generators
-from oracles import is_connected
+from oracles import degree_assortativity, is_connected
 
 
 def hk_expected_edges(n, m):

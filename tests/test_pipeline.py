@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,9 @@ BAD_VALUES = {
     "seed": ({"seed": -1}, lambda tmp: derive_seed(-1, 1)),
     "generate.n": ({"generate": {"model": "cnn", "n": 0}},
                    lambda tmp: generate_cnn(0)),
+    # the check is the generator's first line, so nothing is allocated
+    "generate.n < 2**31": ({"generate": {"n": 2**31}},
+                           lambda tmp: generate_hk(2**31)),
     "generate.m": ({"generate": {"m": 0}}, lambda tmp: generate_hk(10, m=0)),
     "generate.p_t": ({"generate": {"p_t": 1.5}}, lambda tmp: generate_hk(10, p_t=1.5)),
     "generate.u": ({"generate": {"u": 1.0}}, lambda tmp: generate_cnn(10, u=1.0)),
@@ -229,6 +233,23 @@ class TestFullRun:
         assert hashed.count("hk.assign.csv") == 2  # sir, spd
         assert hashed.count("sir_trace.csv") == 2  # timeline, pies
 
+    def test_stages_called_through_the_module(self, tmp_path, monkeypatch):
+        # the benchmark's replay swaps pipeline.stage_metrics for a copier,
+        # so full_run must look each stage up when it calls it
+        first, again = tmp_path / "first", tmp_path / "again"
+        full_run(SMALL_CONFIG, first, echo=lambda *_: None)
+        calls = []
+
+        def reuse_features(edges_path, out_path):
+            calls.append(out_path)
+            for name in ("features.csv", "features.csv.meta.json"):
+                shutil.copyfile(first / name, again / name)
+
+        monkeypatch.setattr(pipeline, "stage_metrics", reuse_features)
+        full_run(SMALL_CONFIG, again, echo=lambda *_: None)
+        assert calls == [again / "features.csv"]
+        assert dir_digest(again) == dir_digest(first)
+
     def test_hand_made_input_digest_in_meta(self, tmp_path):
         edges = tmp_path / "g.edges"
         edges.write_text("0 1\n1 2\n2 0\n")
@@ -319,6 +340,42 @@ class TestCli:
                      "--times", "0,1,2", "-o", str(tmp_path / "tl.svg")]) == 0
         for f in ("hm.svg", "pies.svg", "tl.svg"):
             assert (tmp_path / f).stat().st_size > 0
+
+    def test_each_command_reports_its_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": 5, "generate": {"model": "cnn", "n": 60},
+                                      "render": False}))
+        expected = [
+            (["generate", "--model", "hk", "--n", "60", "--m", "4", "--pt", "0.9",
+              "--seed", "1", "-o", "g.edges"],
+             "wrote g.edges: n=60 edges=230 <k>=7.667\n"),
+            (["metrics", "g.edges"], "wrote g.features.csv\n"),
+            (["categorize", "g.features.csv", "--grid", "3x2", "--seed", "2"],
+             "wrote g.assign.csv g.cells.csv g.som.json (qe 0.7392 -> 0.1878)\n"),
+            # the prefix as given
+            (["categorize", "g.features.csv", "--grid", "3x2", "--seed", "2",
+              "-o", "./h"],
+             "wrote ./h.assign.csv ./h.cells.csv ./h.som.json (qe 0.7392 -> 0.1878)\n"),
+            (["simulate", "sir", "g.edges", "g.assign.csv", "--seed", "4"],
+             "wrote g.sir.csv: t=4.84\n"),
+            (["simulate", "spd", "g.edges", "g.assign.csv", "--seed", "4"],
+             "wrote g.spd.csv: round=4\n"),
+            (["render", "heatmap", "g.cells.csv", "-o", "hm.svg"], "wrote hm.svg\n"),
+            (["render", "pies", "g.sir.csv", "--t", "1", "-o", "pies.svg"],
+             "wrote pies.svg\n"),
+            (["render", "timeline", "g.spd.csv", "--times", "0,1", "-o", "tl.svg"],
+             "wrote tl.svg\n"),
+            (["run", str(config), "-o", "rep"],
+             "generate: cnn.edges n=60 edges=266 <k>=8.867\n"
+             "metrics: features.csv\n"
+             "categorize: grid 5x5, qe 0.5472 -> 0.1087\n"
+             "simulate sir: t=7.52 R=43/60\n"
+             "simulate spd: round=3 C=0/60\n"
+             "report in rep\n")]
+        for argv, out in expected:
+            assert main(argv) == 0
+            assert capsys.readouterr() == (out, "")
 
     def test_run_command(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -436,6 +493,16 @@ class TestCli:
         assert main(["render", "heatmap", str(cells),
                      "-o", str(tmp_path / "hm.svg")]) == 3
         assert str(cells) in capsys.readouterr().err
+
+    def test_all_empty_cells_exit_3(self, tmp_path, capsys):
+        cells = tmp_path / "zero.cells.csv"
+        cells.write_text("X,Y,count,mean_k,mean_k_nn,mean_b,mean_L,mean_C\n"
+                         "0,0,0,,,,,\n1,0,0,,,,,\n")
+        assert main(["render", "heatmap", str(cells),
+                     "-o", str(tmp_path / "hm.svg")]) == 3
+        assert capsys.readouterr().err == (
+            f"netsom: {cells}: cannot render heat maps: every cell is empty\n")
+        assert not (tmp_path / "hm.svg").exists()
 
     def test_short_cells_row_exit_3(self, tmp_path, capsys):
         cells = tmp_path / "short.cells.csv"
