@@ -158,35 +158,35 @@ def _brandes_all_sources(graph: Graph):
     """
     member, start, head_at, union, ell = _biconnected_blocks(graph)
     spans = list(zip(start[:-1].tolist(), start[1:].tolist()))
-    jobs: list[list[tuple[int, int, int]]] = []
+    jobs: list[list[tuple[int, int, range]]] = []
     room = 0
     for a, z in spans:
         for lo in range(0, z - a, SOURCE_BLOCK):
-            count = min(SOURCE_BLOCK, z - a - lo)
-            if count > room:
+            sources = range(lo, min(lo + SOURCE_BLOCK, z - a))
+            if len(sources) > room:
                 jobs.append([])
                 room = SOURCE_BLOCK
-            jobs[-1].append((a, z, lo))
-            room -= count
+            jobs[-1].append((a, z, sources))
+            room -= len(sources)
 
     def run(job):
         results = []
-        for a, z, lo in job:
+        for a, z, sources in job:
             if z - a == 2:
                 results.append(_brandes_bridge(ell[a:z]))
                 continue
             rows = union.indptr[a:z + 1]
             block = Graph(z - a, rows - rows[0],
                           union.indices[rows[0]:rows[-1]] - a)
-            results.append(_brandes_block(block, ell[a:z], lo))
+            results.append(_brandes_block(block, ell[a:z], sources))
         return results
 
     raw = np.zeros(graph.n)
     w = np.empty(member.size, dtype=np.int64)  # W_B(v) at each (B, v)
     for job, results in zip(jobs, fork_map(run, jobs)):  # in unit order
-        for (a, z, lo), (part, sums) in zip(job, results):
+        for (a, z, sources), (part, sums) in zip(job, results):
             raw[member[a:z]] += part
-            w[a + lo:a + lo + sums.size] = sums
+            w[a + sources.start:a + sources.stop] = sums
     dist_sums = np.empty(graph.n, dtype=np.int64)
     dist_sums[0] = w[head_at].sum()
     # each head's sum is known before its blocks are
@@ -302,11 +302,11 @@ def _brandes_bridge(ell: np.ndarray):
     return np.multiply(ell, swap, dtype=np.float64), swap
 
 
-def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
+def _brandes_block(block: Graph, ell: np.ndarray, sources: range):
     """Reach-weighted raw betweenness within one biconnected block, summed
-    over its sources lo..lo+SOURCE_BLOCK-1, and those sources' weighted
-    distance sums W_B (see :func:`_brandes_all_sources`); ell is each
-    node's reach less one.
+    over the block's ``sources``, and those sources' weighted distance sums
+    W_B (see :func:`_brandes_all_sources`); ell is each node's reach less
+    one.
 
     Each BFS level is scanned from the cheaper side (Beamer et al. 2012),
     by one gather: top-down gathers the frontier's rows and keeps
@@ -344,7 +344,6 @@ def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
     indices = block.indices.astype(np.int64)
     deg = block.degrees
     owner = np.arange(n).repeat(deg)  # the row of each CSR slot
-    sources = range(lo, min(lo + SOURCE_BLOCK, n))
     omega = 1 + ell
 
     raw = np.zeros(n)
@@ -354,7 +353,7 @@ def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
     sigma = np.empty(n)  # set on each node as the BFS reaches it
     delta = np.empty(n)
 
-    for s in sources:
+    for i, s in enumerate(sources):
         dist.fill(-1)
         dist[s] = 0
         # distance 1: s's row, each node on one shortest path
@@ -389,7 +388,7 @@ def _brandes_block(block: Graph, ell: np.ndarray, lo: int):
             left -= frontier.size
             left_deg -= frontier_deg
 
-        dist_sums[s - lo] = omega.dot(dist)
+        dist_sums[i] = omega.dot(dist)
 
         # backward: dependency accumulation from the deepest level inward
         np.copyto(delta, ell)

@@ -191,9 +191,8 @@ def _pie_panel(counts: np.ndarray, width: int, height: int,
                oy: float) -> str:
     """Lattice of pies with its axis labels, in a group whose origin (ox, oy)
     is the top-left of the cell grid. Empty cells draw nothing."""
-    check("render", {"radius_mode": radius_mode})
     totals = counts.sum(axis=0)
-    max_total = int(totals.max()) if totals.size else 0
+    max_total = int(totals.max())
     out = [f'<g transform="translate({ox},{oy})">\n']
     for lin in range(width * height):
         total = int(totals[lin])
@@ -226,19 +225,8 @@ def _legend(state_names: tuple[str, ...], colors: tuple[str, ...],
 
 def render_pie_lattice(trace: SimTrace, t: float,
                        radius_mode: str = _RADIUS_MODE) -> str:
-    """Pie-chart lattice for the snapshot nearest ``t``: sector angles are
-    proportional to each state's share of the cell's agents; empty cells
-    stay blank. The caption shows the snapshot's true time."""
-    idx = trace.nearest_index(t)
-    colors = default_palette(trace.state_names)
-    ml, mt = 24, 30
-    gw, gh = trace.width * PIE_CELL, trace.height * PIE_CELL
-    body = [_legend(trace.state_names, colors, ml, 8),
-            _text(ml + gw, 18, f"{trace.time_label} = {trace.times[idx]:g}",
-                  size=12, anchor="end"),
-            _pie_panel(trace.counts[idx], trace.width, trace.height, colors,
-                       radius_mode, ml, mt)]
-    return _svg_doc(ml + gw + 12, mt + gh + 22, "".join(body))
+    """The timeline of the one time ``t``."""
+    return render_timeline(trace, [t], radius_mode)
 
 
 def render_timeline(trace: SimTrace, times: list[float],
@@ -246,10 +234,12 @@ def render_timeline(trace: SimTrace, times: list[float],
     """Sequence of pie lattices at the selected times, sharing one legend.
 
     Each requested time maps to the nearest recorded snapshot; the caption
-    shows the snapshot's true time.
+    shows the snapshot's true time. Sector angles are proportional to each
+    state's share of the cell's agents; empty cells stay blank.
     """
     if not times:
         raise ValueError("no times selected")
+    check("render", {"radius_mode": radius_mode})
     colors = default_palette(trace.state_names)
     per_row = 5
     indices = [trace.nearest_index(t) for t in times]

@@ -231,12 +231,40 @@ def save_som_json(grid: SomGrid, path: str | Path) -> str:
 
 
 def load_som_json(path: str | Path) -> SomGrid:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    weights = np.asarray(doc["weights"], dtype=np.float64)
-    return SomGrid(width=int(doc["width"]), height=int(doc["height"]),
-                   weights=weights,
-                   feat_min=np.asarray(doc["norm_params"]["min"], dtype=np.float64),
-                   feat_max=np.asarray(doc["norm_params"]["max"], dtype=np.float64))
+    """The map that :func:`save_som_json` writes. Text that is not UTF-8
+    JSON, a missing or mistyped key, other than width x height weight rows,
+    a vector without one number per feature, or a non-finite number raises
+    ValueError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON
+        raise ValueError(f"{path}: not a UTF-8 JSON map: {exc}") from None
+    try:
+        width, height, rows = doc["width"], doc["height"], doc["weights"]
+        vectors = [doc["norm_params"]["min"], doc["norm_params"]["max"]]
+    except (KeyError, TypeError):
+        raise ValueError(f"{path}: expected the keys width, height, weights "
+                         f"and norm_params with min and max") from None
+    if not all(type(v) is int and v > 0 for v in (width, height)):
+        raise ValueError(f"{path}: width and height must be positive integers")
+    # the row count bounds the lattice before anything of its size exists
+    if type(rows) is not list or len(rows) != width * height:
+        raise ValueError(f"{path}: a {width}x{height} map needs "
+                         f"{width * height} weight rows")
+    dim = len(FEATURE_NAMES)
+    vectors += rows
+    if not all(type(v) is list and len(v) == dim
+               and all(type(x) in (int, float) for x in v) for v in vectors):
+        raise ValueError(f"{path}: norm_params min and max and every weight "
+                         f"row must hold {dim} numbers")
+    try:
+        mat = np.array(vectors, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{path}: a number is beyond the float range") from None
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{path}: a number is not finite")
+    return SomGrid(width=width, height=height, weights=mat[2:],
+                   feat_min=mat[0], feat_max=mat[1])
 
 
 def write_assignment_csv(assignment: CellAssignment, path: str | Path) -> str:

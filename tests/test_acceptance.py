@@ -318,13 +318,13 @@ CRITERION_11_DIGESTS = {
     "hk.som.json.meta.json":
         "c8780560e099e88c477615a915885bf76f49175b987f99385bfcc71912b9fb99",
     "pies_sir_10.2.svg":
-        "b87ab62a653570e17e1497fb6a85729800ad5a45ee0dfcb00f26d48ce43c0ed9",
+        "cbdba9d66e4fa1468323139fa917fa12b24c7dc01794ff1b96e62cb928abd94c",
     "pies_sir_10.2.svg.meta.json":
-        "11debf80df260638c06a1fbcc8abcd0b74346fe529b333a8bd4eb6c31cea552a",
+        "fed1670148935c1383d0900460fbcb59c3ca373ce7f5c3157ac24e050da8e75a",
     "pies_spd_5.svg":
-        "bf5df21a39130d7f4214b3c5a2f7a725c48ed088c3a9f112a2e6263149b9c7cc",
+        "079c412b006b64316ca85f5a4f0e76532e1b03cf046041c512bd687be76d8d2f",
     "pies_spd_5.svg.meta.json":
-        "db1b5f330d883f1b3c174e9e6b9a82cf1231e3b7a0236fc60d37f4e8ef77dfe9",
+        "bd57449953391bf7c54d5aa55ad009eb50ecc8e13e51c7891ad6742f3ca04c12",
     "sir_trace.csv":
         "3bade53be661e8b34ae0d1418b1c195ea974f90c253098cb7533d48158e06696",
     "sir_trace.csv.meta.json":

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsom import SimTrace, SomGrid, load_edge_list, read_trace_csv, write_trace_csv
+from netsom import SimTrace, load_edge_list, read_trace_csv, write_trace_csv
 from netsom.graph import save_edge_list, write_text
 from netsom.metrics import read_features_csv, write_features_csv
-from netsom.som import (read_assignment_csv, read_cell_stats_csv, save_som_json,
-                        write_assignment_csv, write_cell_stats_csv)
+from netsom.som import (load_som_json, read_assignment_csv, read_cell_stats_csv,
+                        save_som_json, write_assignment_csv, write_cell_stats_csv)
 
 # A valid file of each format. Every integer is a single digit, so four
 # mutations grow a number to at most five digits, or, through the long
@@ -28,6 +28,9 @@ VALID = {
                                    "1,0,0,,\n"),
     "trace": (read_trace_csv, "t,X,Y,S,I\n0,0,0,3,1\n0,1,0,2,0\n"
                               "0.5,0,0,2,2\n0.5,1,0,1,1\n"),
+    "som": (load_som_json, '{"height": 1, "norm_params": {"max": [1, 1, 1, 1, 1], '
+                           '"min": [0, 0, 0, 0, 0]}, "weights": [[0.5, 0, 1, 0, 1], '
+                           '[0, 1, 0, 1, 0.5]], "width": 2}\n'),
 }
 INSERTS = [b"\xff", b"\xc3", b"99999999999999999999", b"-", b",", b"\n",
            b"\r\n", b" ", b"0", b"1", b"nan", b"inf", b"x", b"#", b'"', b"\x00"]
@@ -74,7 +77,7 @@ def test_valid_files_read(tmp_path):
         read(path)
 
 
-# the writer of each format in VALID, plus the SOM's JSON and plain text
+# the writer of each format in VALID, plus plain text
 WRITERS = {"edges": save_edge_list, "features": write_features_csv,
            "assign": write_assignment_csv, "cells": write_cell_stats_csv,
            "trace": write_trace_csv, "som": save_som_json, "text": write_text}
@@ -86,9 +89,6 @@ def test_writer_returns_digest_of_the_file_it_leaves(tmp_path, fmt):
         read, text = VALID[fmt]
         (tmp_path / "input").write_text(text)
         obj = read(tmp_path / "input")
-    elif fmt == "som":
-        obj = SomGrid(width=2, height=1, weights=np.eye(2),
-                      feat_min=np.zeros(2), feat_max=np.ones(2))
     else:
         obj = "na\u00efve \u2713\n"  # non-ASCII: the digest is of the UTF-8 bytes
     args = (tmp_path / "out", obj) if fmt == "text" else (obj, tmp_path / "out")

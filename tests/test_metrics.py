@@ -264,7 +264,7 @@ class TestBiconnectedBlocks:
         for a, z in bridges:
             rows = union.indptr[a:z + 1]
             block = Graph(2, rows - rows[0], union.indices[rows[0]:rows[-1]] - a)
-            raw, sums = metrics._brandes_block(block, ell[a:z], 0)
+            raw, sums = metrics._brandes_block(block, ell[a:z], range(2))
             closed_raw, closed_sums = metrics._brandes_bridge(ell[a:z])
             assert raw.tobytes() == closed_raw.tobytes()
             assert sums.tobytes() == closed_sums.tobytes()

@@ -747,3 +747,14 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+def test_import_loads_no_pool_modules():
+    # fork_map imports its pool on first use: importing the pipeline, which
+    # every netsom command and benchmark set-up does, must not pay for it
+    code = ("import sys, netsom.pipeline; print(sorted(set(sys.modules) & "
+            "{'multiprocessing', 'concurrent.futures'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -188,17 +188,11 @@ class TestTimeline:
         ET.fromstring(svg)
         assert svg.count('<g transform="translate(') == 3
 
-    def test_single_time_embeds_same_pie_group(self):
+    @pytest.mark.parametrize("mode", ["fixed", "population"])
+    @pytest.mark.parametrize("t", [1.0, 1.4])
+    def test_single_lattice_is_the_one_time_timeline(self, mode, t):
         trace = small_trace()
-        single = render_pie_lattice(trace, 1.0)
-        timeline = render_timeline(trace, [1.0])
-
-        def inner_group(svg):
-            start = svg.index('<g transform="translate(')
-            start = svg.index(">\n", start) + 2
-            return svg[start:svg.index("</g>", start)]
-
-        assert inner_group(single) == inner_group(timeline)
+        assert render_pie_lattice(trace, t, mode) == render_timeline(trace, [t], mode)
 
     def test_terminal_sir_panel_has_no_infectious_sector(self):
         trace = small_trace()

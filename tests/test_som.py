@@ -197,6 +197,31 @@ class TestSerialization:
         np.testing.assert_array_equal(g2.feat_min, grid.feat_min)
         np.testing.assert_array_equal(g2.feat_max, grid.feat_max)
 
+    @pytest.mark.parametrize("text", [
+        "", "\udcff", '{"width": 2}', "[1]", "[" * 100000,
+        # a 1x2 map with 3 rows, a lattice far beyond its rows, a bool width
+        '{"width": 1, "height": 2, "weights": [ROW, ROW, ROW], "norm_params": NP}',
+        '{"width": 99999999999999999999, "height": 1, "weights": [ROW], '
+        '"norm_params": NP}',
+        '{"width": true, "height": 2, "weights": [ROW, ROW], "norm_params": NP}',
+        # a short row, a string, NaN, an overflowing float and integer
+        '{"width": 1, "height": 2, "weights": [ROW, [1, 2]], "norm_params": NP}',
+        '{"width": 1, "height": 2, "weights": [ROW, ["1", 0, 0, 0, 0]], '
+        '"norm_params": NP}',
+        '{"width": 1, "height": 2, "weights": [ROW, [NaN, 0, 0, 0, 0]], '
+        '"norm_params": NP}',
+        '{"width": 1, "height": 2, "weights": [ROW, [1e999, 0, 0, 0, 0]], '
+        '"norm_params": NP}',
+        '{"width": 1, "height": 2, "weights": [ROW, [1' + "0" * 400 + ', 0, 0, 0, 0]], '
+        '"norm_params": NP}'])
+    def test_malformed_map_names_the_file(self, tmp_path, text):
+        p = tmp_path / "bad.som.json"
+        text = text.replace("ROW", "[0.5, 0.5, 0.5, 0.5, 0.5]").replace(
+            "NP", '{"min": [0, 0, 0, 0, 0], "max": [1, 1, 1, 1, 1]}')
+        p.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError, match=f"^{p}: "):
+            load_som_json(p)
+
     def test_assignment_csv_round_trip(self, tmp_path):
         data = np.random.default_rng(8).random((40, 5))
         grid = _grid(5, 5, 5, seed=8)
