@@ -43,13 +43,15 @@ def generate_hk(n: int, m: int = _GEN["m"], p_t: float = _GEN["p_t"],
         raise ConfigError(f"generate.n must be > generate.m, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
 
-    adj: list[dict[int, None]] = [{} for _ in range(n)]  # ordered neighbor sets
-    edges: list[tuple[int, int]] = []
-    stubs: list[int] = []  # one entry per unit of degree; PA = uniform draw
+    # neighbors in link order; no link is ever made twice
+    adj: list[list[int]] = [[] for _ in range(n)]
+    # the ends of every edge, one entry per unit of degree: a preferential
+    # draw is a uniform pick, and entries 2i, 2i + 1 are edge i
+    stubs: list[int] = []
 
     def link(a: int, b: int) -> None:
-        adj[a][b] = adj[b][a] = None
-        edges.append((a, b))
+        adj[a].append(b)
+        adj[b].append(a)
         stubs.append(a)
         stubs.append(b)
 
@@ -73,7 +75,7 @@ def generate_hk(n: int, m: int = _GEN["m"], p_t: float = _GEN["p_t"],
             link(v, target)
             prev = target
 
-    return build_graph(n, edges)
+    return build_graph(n, np.array(stubs, dtype=np.int64).reshape(-1, 2))
 
 
 def generate_cnn(n: int, u: float = _GEN["u"], seed: int | None = None) -> Graph:

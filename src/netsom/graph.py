@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 from typing import Iterable
 
@@ -116,8 +119,42 @@ def load_edge_list(path: str | Path) -> Graph:
 
     Lines starting with "#" are comments; a "# nodes: N" header fixes the
     node count (otherwise 1 + max id is used). CRLF line endings accepted.
+    The whole file is parsed by numpy's C reader when it is the plain form
+    that :func:`save_edge_list` writes (one leading comment, then ASCII
+    "u v" lines); any other file, and any it finds wrong, is read line by
+    line, which gives the same graph or names the line at fault.
     """
     path = Path(path)
+    graph = _edge_list_whole(path.read_bytes())
+    return graph if graph is not None else _edge_list_rows(path)
+
+
+def _edge_list_whole(data: bytes) -> Graph | None:
+    """The graph of an edge list in the plain form, or None when the file
+    needs :func:`_edge_list_rows` to read it or to name what is wrong."""
+    head, _, body = data.partition(b"\n") if data.startswith(b"#") else (b"", b"", data)
+    if not head.isascii() or b"\r" in head or body.translate(None, b"0123456789 \n"):
+        return None
+    try:
+        match = _HEADER_RE.match(head.decode().strip())
+        header_n = nonnegative_int(match.group(1)) if match else None
+        pairs = (np.loadtxt(io.BytesIO(body), dtype=np.int64, delimiter=" ",
+                            comments=None, ndmin=2)
+                 if body.strip() else np.empty((0, 2), dtype=np.int64))
+    except ValueError:  # a header past int32, a blank field, a ragged line
+        return None
+    if header_n is None and not pairs.size:
+        return None
+    n = header_n if header_n is not None else 1 + int(pairs.max())
+    if (pairs.shape[1] != 2 or n >= 2**31 or pairs.max(initial=-1) >= n
+            or (pairs[:, 0] == pairs[:, 1]).any()):
+        return None
+    return build_graph(n, pairs)
+
+
+def _edge_list_rows(path: Path) -> Graph:
+    """:func:`load_edge_list` one line at a time, for any file that is not
+    in the plain form."""
     header_n: int | None = None
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(_utf8_lines(path), start=1):
@@ -160,9 +197,14 @@ def load_edge_list(path: str | Path) -> Graph:
 def save_edge_list(graph: Graph, path: str | Path) -> str:
     """Write the canonical edge-list form: node-count header, one "u v" per
     line; returns the sha256 of the bytes written."""
-    lines = [f"# nodes: {graph.n}\n"]
-    lines.extend(f"{u} {v}\n" for u, v in graph.edge_array())
-    return write_text(path, "".join(lines))
+    u, v = graph.edge_array().T.tolist()
+    return write_text(path, f"# nodes: {graph.n}\n" + format_rows("%d %d\n", u, v))
+
+
+def format_rows(row: str, *columns: list) -> str:
+    """The rows of equal-length ``columns`` (lists), each through the
+    %-format ``row``, in one formatting call rather than one per row."""
+    return (row * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 def write_text(path: str | Path, text: str) -> str:
@@ -240,17 +282,67 @@ def lattice(path: str | Path, rows: list[tuple], lines: list[int],
     return width, height, sorted(rows, key=lambda r: (*r[:keys], r[keys + 1], r[keys]))
 
 
+def whole_table(data: bytes, header_ok, types) -> tuple[list[str], list[np.ndarray]] | None:
+    """(header, one array per field) of the bytes of a CSV, parsed whole by
+    numpy's C reader as :func:`read_csv` would parse them one row at a time.
+    ``types(header, None)`` gives each field's :data:`C_TYPES` key. Only
+    ASCII in the plain form qualifies: no quote, CR or NUL, no line past the
+    csv module's field size limit, rows of digits, signs, points, exponents
+    and commas, where the C reader and ``int``/``float`` agree. Any other
+    file, or a value out of its type's range, gives None: read it with
+    :func:`read_csv`, which names the line at fault."""
+    head, _, body = data.partition(b"\n")
+    if (not head.isascii() or any(c in head for c in b'"\r\0') or not body.strip()
+            or body.translate(None, b"0123456789+-.eE,\n")
+            or max(map(len, body.split(b"\n"))) > csv.field_size_limit()):
+        return None
+    header = head.decode().split(",")
+    if max(map(len, header)) > csv.field_size_limit() or not header_ok(header):
+        return None
+    dtypes = [C_TYPES[t] for t in types(header, None)]
+    try:
+        with warnings.catch_warnings():
+            # older numpy parses "1.0" into an int field through a float, and
+            # warns that it will stop; int() never took it
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=1,
+                              dtype=[(str(i), t) for i, t in enumerate(dtypes)])
+    except (ValueError, DeprecationWarning):  # a malformed field, a row of another width
+        return None
+    columns = [rows[name] for name in rows.dtype.names]
+    for column in columns:
+        if not (np.isfinite(column).all() if column.dtype == np.float64
+                else ((column >= 0) & (column < 2**31)).all()):
+            return None
+    return header, columns
+
+
 def read_node_csv(path: str | Path, header: tuple[str, ...],
-                  types: tuple[type, ...]) -> list[tuple]:
-    """Rows of a CSV keyed by node id in its first column, parsed with
-    ``types`` and sorted by id; the ids must run 0..n-1. Malformed input
-    raises ValueError naming the file, and the line where one applies."""
+                  types: tuple[type, ...]) -> list[np.ndarray]:
+    """The columns of a CSV keyed by node id in its first column, parsed
+    with ``types`` (:data:`C_TYPES` keys) and sorted by id; the ids must run
+    0..n-1. Parsed whole by :func:`whole_table` where it can, else one row at
+    a time. Malformed input raises ValueError naming the file, and the line
+    where one applies."""
+    table = whole_table(Path(path).read_bytes(), lambda got: got == list(header),
+                        lambda _header, _row: types)
+    if table is not None:
+        columns = table[1]
+        order = columns[0].argsort()
+        if (columns[0][order] == np.arange(order.size)).all():
+            return [column[order] for column in columns]
+    return _node_csv_rows(path, header, types)
+
+
+def _node_csv_rows(path: str | Path, header: tuple[str, ...],
+                   types: tuple[type, ...]) -> list[np.ndarray]:
+    """:func:`read_node_csv` one row at a time."""
     _, rows, _ = read_csv(path, lambda got: got == list(header),
                           lambda _header, _row: types)
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: node ids are not contiguous from 0")
-    return rows
+    return [np.array(column, dtype=C_TYPES[t]) for column, t in zip(zip(*rows), types)]
 
 
 def nonnegative_int(field: str) -> int:
@@ -269,3 +361,6 @@ def finite_float(field: str) -> float:
         raise ValueError(field)
     return value
 
+
+# the dtype that numpy's C reader parses each field type into
+C_TYPES = {nonnegative_int: np.int64, finite_float: np.float64}

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import CHOICES, fork_map
-from .graph import (Graph, build_graph, finite_float, gather_rows,
+from .graph import (Graph, build_graph, finite_float, format_rows, gather_rows,
                     nonnegative_int, read_node_csv, write_text)
 
 FEATURE_NAMES = CHOICES["som.log_features"]
@@ -408,14 +408,16 @@ def _brandes_block(block: Graph, ell: np.ndarray, sources: range):
 
 def write_features_csv(features: NodeFeatures, path: str | Path) -> str:
     """The features table; returns the sha256 of the bytes written."""
-    rows = [f"{i},{int(features.k[i])},{features.k_nn[i]:.17g},"
-            f"{features.b[i]:.17g},{features.L[i]:.17g},{features.C[i]:.17g}\n"
-            for i in range(features.n)]
-    return write_text(path, "node,k,k_nn,b,L,C\n" + "".join(rows))
+    rows = format_rows("%d,%d,%.17g,%.17g,%.17g,%.17g\n", list(range(features.n)),
+                       *(getattr(features, name).tolist() for name in FEATURE_NAMES))
+    return write_text(path, "node,k,k_nn,b,L,C\n" + rows)
 
 
 def read_features_csv(path: str | Path) -> NodeFeatures:
-    rows = read_node_csv(path, ("node",) + FEATURE_NAMES,
-                         (nonnegative_int,) * 2 + (finite_float,) * 4)
-    _, k, *floats = np.array(rows, dtype=np.float64).T.copy()
-    return NodeFeatures(k.astype(np.int64), *floats)
+    """The features table, with read-only arrays: a run may share one parse
+    between its stages."""
+    _, *columns = read_node_csv(path, ("node",) + FEATURE_NAMES,
+                                (nonnegative_int,) * 2 + (finite_float,) * 4)
+    for column in columns:
+        column.setflags(write=False)
+    return NodeFeatures(*columns)

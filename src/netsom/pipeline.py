@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextvars import ContextVar
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,26 @@ def check_fresh(*paths: str | Path) -> dict[str, str]:
     return digests
 
 
+# the parses of the running full_run, keyed by (reader, digest of the bytes
+# parsed); None outside one, so a stage called on its own parses every time
+_PARSED: ContextVar[dict | None] = ContextVar("parsed", default=None)
+
+
+def _parsed(reader, path: str | Path, inputs: dict[str, str]):
+    """``reader(path)`` for an input whose digest :func:`check_fresh` put in
+    ``inputs``. Inside a full run it is parsed at its first read and kept
+    under that digest, so a changed file is parsed afresh; stages must not
+    mutate what they are given. Callers pass the reader as this module's
+    attribute, looked up at the call, so a tracer sees every parse."""
+    memo = _PARSED.get()
+    if memo is None:
+        return reader(path)
+    key = (reader, inputs[Path(path).name])
+    if key not in memo:
+        memo[key] = reader(path)
+    return memo[key]
+
+
 def _named(path: str | Path, compute, *args):
     """``compute(*args)`` on what a reader returned from ``path``, with the
     path in front of a ValueError that is not a ConfigError: the values in
@@ -141,7 +162,8 @@ def stage_generate(out_path: str | Path, model: str = _GEN["model"],
 
 def stage_metrics(edges_path: str | Path, out_path: str | Path) -> NodeFeatures:
     inputs = check_fresh(edges_path)
-    features = _named(edges_path, compute_all, load_edge_list(edges_path))
+    features = _named(edges_path, compute_all,
+                      _parsed(load_edge_list, edges_path, inputs))
     _write_meta(out_path, write_features_csv(features, out_path), "metrics",
                 {}, None, inputs)
     return features
@@ -156,8 +178,8 @@ def stage_categorize(features_path: str | Path, out_prefix: str | Path,
     the assignment, the cell statistics and the map."""
     check("som", {"log_features": log_features})
     inputs = check_fresh(features_path)
-    grid, assignment, stats = _named(features_path, categorize,
-                                     read_features_csv(features_path), width,
+    features = _parsed(read_features_csv, features_path, inputs)
+    grid, assignment, stats = _named(features_path, categorize, features, width,
                                      height, epochs, seed, log_features)
     prefix = Path(out_prefix)
     assign_path, cells_path, som_path = (prefix.with_name(prefix.name + suffix)
@@ -216,7 +238,8 @@ def _simulate(name: str, edges_path: str | Path, assign_path: str | Path,
               out_path: str | Path, seed: int, params: dict) -> SimTrace:
     """Shared body of the simulate stages; ``params`` uses config keys."""
     inputs = check_fresh(edges_path, assign_path)
-    graph, assignment = load_edge_list(edges_path), read_assignment_csv(assign_path)
+    graph = _parsed(load_edge_list, edges_path, inputs)
+    assignment = _parsed(read_assignment_csv, assign_path, inputs)
     if assignment.n != graph.n:
         raise ValueError(f"{assign_path} assigns {assignment.n} nodes but "
                          f"{edges_path} has {graph.n}")
@@ -229,15 +252,16 @@ def _simulate(name: str, edges_path: str | Path, assign_path: str | Path,
 
 def stage_render_heatmap(cells_path: str | Path, out_path: str | Path) -> None:
     inputs = check_fresh(cells_path)
-    svg = _named(cells_path, render_heatmaps, read_cell_stats_csv(cells_path))
+    svg = _named(cells_path, render_heatmaps,
+                 _parsed(read_cell_stats_csv, cells_path, inputs))
     _write_meta(out_path, write_text(out_path, svg), "render-heatmap", {}, None, inputs)
 
 
 def stage_render_pies(trace_path: str | Path, out_path: str | Path, t: float,
                       radius_mode: str = _RADIUS_MODE) -> None:
     inputs = check_fresh(trace_path)
-    svg = _named(trace_path, render_pie_lattice, read_trace_csv(trace_path), t,
-                 radius_mode)
+    svg = _named(trace_path, render_pie_lattice,
+                 _parsed(read_trace_csv, trace_path, inputs), t, radius_mode)
     _write_meta(out_path, write_text(out_path, svg), "render-pies",
                 {"t": t, "radius_mode": radius_mode}, None, inputs)
 
@@ -246,7 +270,7 @@ def stage_render_timeline(trace_path: str | Path, out_path: str | Path,
                           times: list[float] | None,
                           radius_mode: str = _RADIUS_MODE) -> None:
     inputs = check_fresh(trace_path)
-    trace = read_trace_csv(trace_path)
+    trace = _parsed(read_trace_csv, trace_path, inputs)
     if times is None:
         times = default_timeline_times(trace)
     svg = _named(trace_path, render_timeline, trace, times, radius_mode)
@@ -271,7 +295,8 @@ def full_run(config: dict, outdir: str | Path, echo=print) -> dict:
     """Run every stage under one master seed; returns the summary dict.
 
     The report directory holds all intermediates, figures, metadata, the
-    resolved config, and summary.json.
+    resolved config, and summary.json. Each input is parsed once for the
+    whole run (:func:`_parsed`).
     """
     cfg = resolve_config(config)
     thread_cap()  # a malformed NETSOM_THREADS fails here, before any stage
@@ -280,84 +305,88 @@ def full_run(config: dict, outdir: str | Path, echo=print) -> dict:
     master = cfg["seed"]
     write_text(outdir / "config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n")
 
-    summary: dict = {"seed": master, "config": cfg, "artifacts": []}
+    token = _PARSED.set({})  # dropped when the run returns
+    try:
+        summary: dict = {"seed": master, "config": cfg, "artifacts": []}
 
-    def record(path: Path) -> Path:
-        summary["artifacts"].append(path.name)
-        return path
+        def record(path: Path) -> Path:
+            summary["artifacts"].append(path.name)
+            return path
 
-    model = cfg["generate"]["model"]
+        model = cfg["generate"]["model"]
 
-    def _stage(name, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:  # noqa: BLE001 - rewrap with the stage label
-            raise PipelineError(f"stage {name} failed: {exc}") from exc
+        def _stage(name, fn, *args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except Exception as exc:  # noqa: BLE001 - rewrap with the stage label
+                raise PipelineError(f"stage {name} failed: {exc}") from exc
 
-    edges = record(outdir / f"{model}.edges")
-    graph = _stage("generate", stage_generate, edges,
-                   seed=derive_seed(master, STAGE_CODES["generate"]),
-                   **cfg["generate"])
-    echo(f"generate: {edges.name} n={graph.n} edges={graph.num_edges} "
-         f"<k>={graph.mean_degree:.3f}")
-    summary["graph"] = {"model": model, "n": graph.n,
-                        "edges": graph.num_edges,
-                        "mean_degree": graph.mean_degree}
+        edges = record(outdir / f"{model}.edges")
+        graph = _stage("generate", stage_generate, edges,
+                       seed=derive_seed(master, STAGE_CODES["generate"]),
+                       **cfg["generate"])
+        echo(f"generate: {edges.name} n={graph.n} edges={graph.num_edges} "
+             f"<k>={graph.mean_degree:.3f}")
+        summary["graph"] = {"model": model, "n": graph.n,
+                            "edges": graph.num_edges,
+                            "mean_degree": graph.mean_degree}
 
-    features_path = record(outdir / "features.csv")
-    _stage("metrics", stage_metrics, edges, features_path)
-    echo(f"metrics: {features_path.name}")
+        features_path = record(outdir / "features.csv")
+        _stage("metrics", stage_metrics, edges, features_path)
+        echo(f"metrics: {features_path.name}")
 
-    s = cfg["som"]
-    prefix = outdir / model
-    grid, assignment, stats = _stage(
-        "categorize", stage_categorize, features_path, prefix,
-        seed=derive_seed(master, STAGE_CODES["categorize"]), **s)
-    assign_path, cells_path, _ = (record(outdir / (model + suffix))
-                                  for suffix in CATEGORIZE_SUFFIXES)
-    echo(f"categorize: grid {s['width']}x{s['height']}, "
-         f"qe {grid.qe_initial:.4f} -> {grid.qe_final:.4f}")
-    summary["cells"] = {
-        "width": stats.width, "height": stats.height,
-        "counts": stats.counts.tolist(),
-        "means": {name: [None if np.isnan(v) else v
-                         for v in stats.means[:, j]]
-                  for j, name in enumerate(stats.feature_names)},
-    }
+        s = cfg["som"]
+        prefix = outdir / model
+        grid, assignment, stats = _stage(
+            "categorize", stage_categorize, features_path, prefix,
+            seed=derive_seed(master, STAGE_CODES["categorize"]), **s)
+        assign_path, cells_path, _ = (record(outdir / (model + suffix))
+                                      for suffix in CATEGORIZE_SUFFIXES)
+        echo(f"categorize: grid {s['width']}x{s['height']}, "
+             f"qe {grid.qe_initial:.4f} -> {grid.qe_final:.4f}")
+        summary["cells"] = {
+            "width": stats.width, "height": stats.height,
+            "counts": stats.counts.tolist(),
+            "means": {name: [None if np.isnan(v) else v
+                             for v in stats.means[:, j]]
+                      for j, name in enumerate(stats.feature_names)},
+        }
 
-    render_cfg = cfg["render"] if cfg["render"] is not False else None
+        render_cfg = cfg["render"] if cfg["render"] is not False else None
 
-    for sim_name, (outcome, counts_key, share_key, state) in SIMULATIONS.items():
-        if cfg[sim_name] is False:
-            continue
-        trace_path = record(outdir / f"{sim_name}_trace.csv")
-        trace = _stage(f"simulate-{sim_name}", globals()[f"stage_simulate_{sim_name}"],
-                       edges, assign_path, trace_path,
-                       seed=derive_seed(master, STAGE_CODES[sim_name]),
-                       **stage_keywords(cfg[sim_name]))
-        counts = dict(zip(trace.state_names, trace.totals(-1).tolist()))
-        summary[sim_name] = {**outcome(trace), counts_key: counts,
-                             share_key: counts[state] / graph.n}
-        echo(f"simulate {sim_name}: {trace.time_label}="
-             f"{trace.terminal_time:g} {state}={counts[state]}/{graph.n}")
+        for sim_name, (outcome, counts_key, share_key, state) in SIMULATIONS.items():
+            if cfg[sim_name] is False:
+                continue
+            trace_path = record(outdir / f"{sim_name}_trace.csv")
+            trace = _stage(f"simulate-{sim_name}", globals()[f"stage_simulate_{sim_name}"],
+                           edges, assign_path, trace_path,
+                           seed=derive_seed(master, STAGE_CODES[sim_name]),
+                           **stage_keywords(cfg[sim_name]))
+            counts = dict(zip(trace.state_names, trace.totals(-1).tolist()))
+            summary[sim_name] = {**outcome(trace), counts_key: counts,
+                                 share_key: counts[state] / graph.n}
+            echo(f"simulate {sim_name}: {trace.time_label}="
+                 f"{trace.terminal_time:g} {state}={counts[state]}/{graph.n}")
+            if render_cfg is not None:
+                tl = record(outdir / f"timeline_{sim_name}.svg")
+                _stage("render", stage_render_timeline, trace_path, tl,
+                       render_cfg["times"], render_cfg["radius_mode"])
+                term = trace.terminal_time
+                pies = record(outdir / f"pies_{sim_name}_{term:g}.svg")
+                _stage("render", stage_render_pies, trace_path, pies, term,
+                       render_cfg["radius_mode"])
+
         if render_cfg is not None:
-            tl = record(outdir / f"timeline_{sim_name}.svg")
-            _stage("render", stage_render_timeline, trace_path, tl,
-                   render_cfg["times"], render_cfg["radius_mode"])
-            term = trace.terminal_time
-            pies = record(outdir / f"pies_{sim_name}_{term:g}.svg")
-            _stage("render", stage_render_pies, trace_path, pies, term,
-                   render_cfg["radius_mode"])
+            hm = record(outdir / f"heatmap_{model}.svg")
+            _stage("render", stage_render_heatmap, cells_path, hm)
+            echo(f"render: {hm.name}")
 
-    if render_cfg is not None:
-        hm = record(outdir / f"heatmap_{model}.svg")
-        _stage("render", stage_render_heatmap, cells_path, hm)
-        echo(f"render: {hm.name}")
-
-    summary["artifacts"] = sorted(summary["artifacts"])
-    write_text(outdir / "summary.json",
-               json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    return summary
+        summary["artifacts"] = sorted(summary["artifacts"])
+        write_text(outdir / "summary.json",
+                   json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        return summary
+    finally:
+        _PARSED.reset(token)
 
 
 def run_ensemble(config: dict, outdir: str | Path, runs: int,

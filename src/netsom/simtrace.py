@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import finite_float, lattice, nonnegative_int, read_csv, write_text
+from .graph import (finite_float, format_rows, lattice, nonnegative_int,
+                    read_csv, whole_table, write_text)
 
 
 @dataclass
@@ -65,29 +66,62 @@ def write_trace_csv(trace: SimTrace, path: str | Path) -> str:
     """One row per snapshot and cell; returns the sha256 of the bytes written."""
     names = ",".join(trace.state_names)
     rows = [f"{trace.time_label},X,Y,{names}\n"]
+    lin = np.arange(trace.n_cells)
+    cells = (lin % trace.width).tolist(), (lin // trace.width).tolist()
+    row = ",%d,%d" + ",%d" * len(trace.state_names) + "\n"
     for t, counts in zip(trace.times, trace.counts):
-        ts = f"{t:.10g}"
-        for lin in range(trace.n_cells):
-            x, y = lin % trace.width, lin // trace.width
-            vals = ",".join(str(int(counts[s, lin]))
-                            for s in range(len(trace.state_names)))
-            rows.append(f"{ts},{x},{y},{vals}\n")
+        rows.append(format_rows(f"{t:.10g}" + row, *cells, *counts[:, lin].tolist()))
     return write_text(path, "".join(rows))
 
 
 def read_trace_csv(path: str | Path) -> SimTrace:
-    header, rows, lines = read_csv(
-        path, lambda h: len(h) >= 4 and h[1:3] == ["X", "Y"],
-        lambda h, _row: (finite_float,) + (nonnegative_int,) * (len(h) - 1))
+    """The trace that :func:`write_trace_csv` writes, in any row order. Its
+    counts are read-only: a run shares one parse between its stages. Parsed
+    whole by :func:`graph.whole_table` where it can, else, and for a file
+    that fails a check, one row at a time, which names the line at fault."""
+    table = whole_table(Path(path).read_bytes(), _header_ok, _types)
+    if table is not None:
+        header, (t, x, y, *counts) = table
+        width, height = int(x.max()) + 1, int(y.max()) + 1
+        order = np.lexsort((x, y, t))
+        keys = np.column_stack([t, y, x])[order]
+        ordered = (t[1:] >= t[:-1]).all()
+        repeats = (keys[1:] == keys[:-1]).all(axis=1).any()
+        snapshots = 1 + int((t[1:] != t[:-1]).sum())
+        if ordered and not repeats and t.size == snapshots * width * height:
+            return _trace(header, width, height, keys[:, 0],
+                          np.column_stack(counts)[order])
+    return _trace_rows(path)
+
+
+def _header_ok(header: list[str]) -> bool:
+    return len(header) >= 4 and header[1:3] == ["X", "Y"]
+
+
+def _types(header: list[str], _row) -> tuple:
+    return (finite_float,) + (nonnegative_int,) * (len(header) - 1)
+
+
+def _trace_rows(path: str | Path) -> SimTrace:
+    """:func:`read_trace_csv` one row at a time."""
+    header, rows, lines = read_csv(path, _header_ok, _types)
     times = [r[0] for r in rows]
     for i in range(1, len(rows)):
         if times[i] < times[i - 1]:
             raise ValueError(f"{path}:{lines[i]}: snapshot times "
                              f"must be strictly increasing")
     width, height, rows = lattice(path, rows, lines, keys=1)
+    return _trace(header, width, height, [r[0] for r in rows],
+                  np.array([r[3:] for r in rows], dtype=np.int64))
+
+
+def _trace(header: list[str], width: int, height: int, times,
+           values: np.ndarray) -> SimTrace:
+    """The trace of a checked table: ``times`` and the state counts
+    ``values`` of its rows, sorted by (time, Y, X)."""
     trace = SimTrace(state_names=tuple(header[3:]), width=width, height=height,
                      time_label=header[0])
-    values = np.array([r[3:] for r in rows], dtype=np.int64)
-    for lo in range(0, len(rows), trace.n_cells):  # one snapshot per block
-        trace.append(rows[lo][0], values[lo:lo + trace.n_cells].T)
+    values.setflags(write=False)
+    for lo in range(0, len(values), trace.n_cells):  # one snapshot per block
+        trace.append(times[lo], values[lo:lo + trace.n_cells].T)
     return trace

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ConfigError, check
-from .graph import (finite_float, lattice, nonnegative_int, read_csv,
-                    read_node_csv, write_text)
+from .graph import (finite_float, format_rows, lattice, nonnegative_int,
+                    read_csv, read_node_csv, write_text)
 from .metrics import FEATURE_NAMES, NodeFeatures
 
 SIGMA_END = 0.5       # end radius; the start radius is max(width, height)/2
@@ -269,15 +269,17 @@ def load_som_json(path: str | Path) -> SomGrid:
 
 def write_assignment_csv(assignment: CellAssignment, path: str | Path) -> str:
     """One node,X,Y row per node; returns the sha256 of the bytes written."""
-    rows = [f"{i},{assignment.x[i]},{assignment.y[i]}\n"
-            for i in range(assignment.n)]
-    return write_text(path, "node,X,Y\n" + "".join(rows))
+    rows = format_rows("%d,%d,%d\n", list(range(assignment.n)),
+                       assignment.x.tolist(), assignment.y.tolist())
+    return write_text(path, "node,X,Y\n" + rows)
 
 
 def read_assignment_csv(path: str | Path) -> CellAssignment:
-    """The lattice size is inferred as 1 + the largest X and Y."""
-    rows = read_node_csv(path, ("node", "X", "Y"), (nonnegative_int,) * 3)
-    _, x, y = np.array(rows, dtype=np.int64).T.copy()
+    """The lattice size is inferred as 1 + the largest X and Y. The
+    coordinates are read-only: a run shares one parse between its stages."""
+    _, x, y = read_node_csv(path, ("node", "X", "Y"), (nonnegative_int,) * 3)
+    x.setflags(write=False)
+    y.setflags(write=False)
     return CellAssignment(width=int(x.max()) + 1, height=int(y.max()) + 1,
                           x=x, y=y)
 
@@ -309,6 +311,8 @@ def read_cell_stats_csv(path: str | Path) -> CellStats:
     counts = np.array([r[2] for r in rows], dtype=np.int64)
     means = np.array([r[3:] for r in rows], dtype=np.float64)
     means[counts == 0] = np.nan
+    counts.setflags(write=False)  # a run may share one parse between stages
+    means.setflags(write=False)
     return CellStats(width=width, height=height, counts=counts, means=means,
                      feature_names=names)
 

@@ -1,17 +1,24 @@
-"""Independent brute-force oracles for the metric tests, and the degree
-assortativity that the generator tests check.
+"""Independent brute-force oracles for the metric tests, the degree
+assortativity that the generator tests check, and one-row-at-a-time
+readers of the four formats that a run parses whole.
 
 These deliberately avoid the library's algorithms: betweenness enumerates
-every shortest path explicitly, distances come from Floyd-Warshall, and
-clustering counts neighbor pairs directly.
+every shortest path explicitly, distances come from Floyd-Warshall,
+clustering counts neighbor pairs directly, and the readers parse each line
+with Python's ``int`` and ``float``.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
+from pathlib import Path
 
 import numpy as np
+
+from netsom import CellAssignment, NodeFeatures, SimTrace, build_graph
+from netsom.graph import finite_float, lattice, nonnegative_int, read_csv
 
 
 def adjacency(graph) -> list[list[int]]:
@@ -138,3 +145,96 @@ def avg_neighbor_degree_bruteforce(graph) -> list[float]:
         nbrs = list(graph.neighbors(i))
         out.append(sum(degs[j] for j in nbrs) / len(nbrs) if nbrs else 0.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-row readers: each line parsed on its own, as netsom read every file
+# before it parsed whole files with numpy's C reader
+
+
+def _lines(path):
+    with Path(path).open("r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
+
+
+def rows_load_edge_list(path):
+    header_n = None
+    pairs = []
+    for lineno, raw in enumerate(_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = re.match(r"#\s*nodes:\s*(\d+)\s*$", line)
+            if m:
+                try:
+                    header_n = nonnegative_int(m.group(1))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: node count {m.group(1)} "
+                                     f"is beyond the int32 range") from None
+            continue
+        toks = line.split()
+        if len(toks) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer token in {line!r}") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"{path}:{lineno}: negative node id in {line!r}")
+        if u == v:
+            raise ValueError(f"{path}:{lineno}: self-loop on node {u} is not allowed")
+        if header_n is not None and max(u, v) >= header_n:
+            raise ValueError(f"{path}:{lineno}: node id out of range "
+                             f"[0, {header_n}) in {line!r}")
+        pairs.append((u, v))
+    if not pairs and header_n is None:
+        raise ValueError(f"{path}: empty edge list with no '# nodes: N' header")
+    n = header_n if header_n is not None else 1 + max(max(u, v) for u, v in pairs)
+    try:
+        return build_graph(n, pairs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _node_rows(path, header, types):
+    _, rows, _ = read_csv(path, lambda got: got == list(header),
+                          lambda _header, _row: types)
+    rows.sort(key=lambda r: r[0])
+    if [r[0] for r in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: node ids are not contiguous from 0")
+    return rows
+
+
+def rows_read_features_csv(path):
+    rows = _node_rows(path, ("node", "k", "k_nn", "b", "L", "C"),
+                      (nonnegative_int,) * 2 + (finite_float,) * 4)
+    _, k, *floats = np.array(rows, dtype=np.float64).T.copy()
+    return NodeFeatures(k.astype(np.int64), *floats)
+
+
+def rows_read_assignment_csv(path):
+    rows = _node_rows(path, ("node", "X", "Y"), (nonnegative_int,) * 3)
+    _, x, y = np.array(rows, dtype=np.int64).T.copy()
+    return CellAssignment(width=int(x.max()) + 1, height=int(y.max()) + 1, x=x, y=y)
+
+
+def rows_read_trace_csv(path):
+    header, rows, lines = read_csv(
+        path, lambda h: len(h) >= 4 and h[1:3] == ["X", "Y"],
+        lambda h, _row: (finite_float,) + (nonnegative_int,) * (len(h) - 1))
+    times = [r[0] for r in rows]
+    for i in range(1, len(rows)):
+        if times[i] < times[i - 1]:
+            raise ValueError(f"{path}:{lines[i]}: snapshot times "
+                             f"must be strictly increasing")
+    width, height, rows = lattice(path, rows, lines, keys=1)
+    trace = SimTrace(state_names=tuple(header[3:]), width=width, height=height,
+                     time_label=header[0])
+    values = np.array([r[3:] for r in rows], dtype=np.int64)
+    for lo in range(0, len(rows), trace.n_cells):
+        trace.append(rows[lo][0], values[lo:lo + trace.n_cells].T)
+    return trace

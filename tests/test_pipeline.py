@@ -11,17 +11,21 @@ from netsom import (build_graph, compute_all, generate_cnn, generate_hk,
                     init_sir, metrics, play_round, read_trace_csv,
                     render_pie_lattice, run_sir, run_spd, train_som,
                     update_strategies, write_trace_csv)
-from netsom import pipeline
+from netsom import graph, pipeline, simtrace
 from netsom.cli import main
 from netsom.config import CHOICES, RANGES
-from netsom.pipeline import (ConfigError, default_timeline_times, derive_seed,
-                             full_run, resolve_config, run_ensemble,
+from netsom.pipeline import (ConfigError, PipelineError, default_timeline_times,
+                             derive_seed, full_run, resolve_config, run_ensemble,
                              sha256_file, stage_categorize, stage_generate)
 from netsom.simtrace import SimTrace
 from netsom.som import CellAssignment
 from conftest import live_descendants, random_connected_graph
+from test_acceptance import CRITERION_11_DIGESTS
 
 SMALL_CONFIG = {"seed": 5, "generate": {"model": "hk", "n": 250}}
+CRITERION_11_CONFIG = {"seed": 3, "generate": {"model": "hk", "n": 400}}
+READERS = ("load_edge_list", "read_features_csv", "read_assignment_csv",
+           "read_cell_stats_csv", "read_trace_csv")
 
 
 def path_graph(n):
@@ -232,6 +236,45 @@ class TestFullRun:
         assert hashed.count("features.csv") == 1  # categorize
         assert hashed.count("hk.assign.csv") == 2  # sir, spd
         assert hashed.count("sir_trace.csv") == 2  # timeline, pies
+
+    def test_each_input_parsed_once_per_run(self, tmp_path, monkeypatch):
+        parsed = []
+        for name in READERS:
+            monkeypatch.setattr(pipeline, name, lambda path, real=getattr(pipeline, name):
+                                parsed.append(Path(path).name) or real(path))
+        for out in ("a", "b"):  # a parse is kept for one run, not the next
+            full_run(CRITERION_11_CONFIG, tmp_path / out, echo=lambda *_: None)
+        assert sorted(parsed) == sorted(["hk.edges", "features.csv", "hk.assign.csv",
+                                         "hk.cells.csv", "sir_trace.csv",
+                                         "spd_trace.csv"] * 2)
+        # a stage called on its own parses every time
+        parsed.clear()
+        out = tmp_path / "a"
+        for _ in range(2):
+            pipeline.stage_simulate_sir(out / "hk.edges", out / "hk.assign.csv",
+                                        tmp_path / "again.csv")
+        assert parsed == ["hk.edges", "hk.assign.csv"] * 2
+
+    def test_input_rewritten_between_stages_is_stale(self, tmp_path, monkeypatch):
+        real = pipeline.stage_metrics
+
+        def metrics_then_rewrite(edges_path, out_path):
+            real(edges_path, out_path)  # the run keeps this parse of the edges
+            Path(edges_path).write_text(Path(edges_path).read_text() + "0 9\n")
+
+        monkeypatch.setattr(pipeline, "stage_metrics", metrics_then_rewrite)
+        with pytest.raises(PipelineError, match="simulate-sir failed: stale input"):
+            full_run(SMALL_CONFIG, tmp_path / "r", echo=lambda *_: None)
+
+    def test_files_a_run_writes_are_parsed_whole(self, tmp_path, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a file of the run was read one row at a time")
+
+        monkeypatch.setattr(graph, "_edge_list_rows", refuse)
+        monkeypatch.setattr(graph, "_node_csv_rows", refuse)
+        monkeypatch.setattr(simtrace, "_trace_rows", refuse)
+        full_run(CRITERION_11_CONFIG, tmp_path, echo=lambda *_: None)
+        assert dir_digest(tmp_path) == CRITERION_11_DIGESTS
 
     def test_stages_called_through_the_module(self, tmp_path, monkeypatch):
         # the benchmark's replay swaps pipeline.stage_metrics for a copier,
