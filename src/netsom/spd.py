@@ -87,7 +87,11 @@ def run_spd(graph: Graph, assignment: CellAssignment, T: float = _SPD["T"],
 
     The trace records per-cell C/D counts for round 0 and after every update,
     and ``trace.fixed_point`` tells whether the last round changed no
-    strategy (which can happen on round ``max_rounds`` itself).
+    strategy (which can happen on round ``max_rounds`` itself). Under
+    "min_id" ties, once the strategies repeat an earlier round's, the
+    remaining rounds up to ``max_rounds`` copy the counts of the cycle
+    rather than play it again; ``fixed_point`` stays False for a cycle
+    longer than one round.
     The only randomness is the initial strategy draw (plus tie resolution in
     the "random" tie mode); the trajectory is otherwise deterministic.
     """
@@ -104,6 +108,9 @@ def run_spd(graph: Graph, assignment: CellAssignment, T: float = _SPD["T"],
                      height=assignment.height, time_label="round",
                      fixed_point=False)
     trace.record(0.0, strategies, cells)
+    # under "min_id" a round depends on the strategies alone, so from the
+    # first repeated state on, the run replays the cycle that state closes
+    seen = {np.packbits(strategies).tobytes(): 0}
     for rnd in range(1, max_rounds + 1):
         payoffs = play_round(graph, strategies, T=T, eps=eps)
         nxt = update_strategies(graph, strategies, payoffs,
@@ -113,4 +120,10 @@ def run_spd(graph: Graph, assignment: CellAssignment, T: float = _SPD["T"],
             trace.fixed_point = True
             break
         strategies = nxt
+        if tie == "min_id":
+            period = rnd - seen.setdefault(np.packbits(nxt).tobytes(), rnd)
+            if period:
+                for later in range(rnd + 1, max_rounds + 1):
+                    trace.append(float(later), trace.counts[later - period])
+                break
     return trace

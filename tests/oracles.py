@@ -1,6 +1,7 @@
 """Independent brute-force oracles for the metric tests, the degree
-assortativity that the generator tests check, and one-row-at-a-time
-readers of the four formats that a run parses whole.
+assortativity that the generator tests check, one-row-at-a-time
+readers of the four formats that a run parses whole, and the plain forms
+of the CSR build and the game loop that the library runs faster.
 
 These deliberately avoid the library's algorithms: betweenness enumerates
 every shortest path explicitly, distances come from Floyd-Warshall,
@@ -17,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from netsom import CellAssignment, NodeFeatures, SimTrace, build_graph
-from netsom.graph import finite_float, lattice, nonnegative_int, read_csv
+from netsom import (CellAssignment, NodeFeatures, SimTrace, build_graph,
+                    init_spd, play_round, update_strategies)
+from netsom.graph import Graph, finite_float, lattice, nonnegative_int, read_csv
+from netsom.spd import STATE_NAMES
 
 
 def adjacency(graph) -> list[list[int]]:
@@ -237,4 +240,54 @@ def rows_read_trace_csv(path):
     values = np.array([r[3:] for r in rows], dtype=np.int64)
     for lo in range(0, len(rows), trace.n_cells):
         trace.append(rows[lo][0], values[lo:lo + trace.n_cells].T)
+    return trace
+
+
+# ---------------------------------------------------------------------------
+# plain forms: the CSR built through np.unique, and the game played round by
+# round to the cap, as netsom ran them before it sorted keys and replayed
+# cycles
+
+
+def unique_build_graph(node_count, edges):
+    n = int(node_count)
+    if not 0 <= n < 2**31:
+        raise ValueError(f"node count {n} is outside the int32 range of the "
+                         f"adjacency")
+    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError("edges must be pairs of node ids")
+    if e.size:
+        if e.min() < 0 or e.max() >= n:
+            bad = e[(e < 0).any(axis=1) | (e >= n).any(axis=1)][0]
+            raise ValueError(f"edge ({bad[0]}, {bad[1]}) has id out of range [0, {n})")
+        loops = e[:, 0] == e[:, 1]
+        if loops.any():
+            raise ValueError(f"self-loop on node {e[loops][0][0]} is not allowed")
+    both = np.concatenate([e, e[:, ::-1]])
+    src, dst = np.divmod(np.unique(both[:, 0] * n + both[:, 1]), n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return Graph(n, indptr, dst.astype(np.int32))
+
+
+def rounds_run_spd(graph, assignment, T, eps, seed, max_rounds, tie):
+    init_seed, tie_seed = np.random.SeedSequence(seed).spawn(2)
+    strategies = init_spd(graph, seed=init_seed)
+    tie_rng = np.random.default_rng(tie_seed)
+    cells = assignment.linear()
+    trace = SimTrace(state_names=STATE_NAMES, width=assignment.width,
+                     height=assignment.height, time_label="round",
+                     fixed_point=False)
+    trace.record(0.0, strategies, cells)
+    for rnd in range(1, max_rounds + 1):
+        payoffs = play_round(graph, strategies, T=T, eps=eps)
+        nxt = update_strategies(graph, strategies, payoffs, tie=tie, rng=tie_rng)
+        trace.record(float(rnd), nxt, cells)
+        if np.array_equal(nxt, strategies):
+            trace.fixed_point = True
+            break
+        strategies = nxt
     return trace

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from netsom import build_graph, load_edge_list, save_edge_list
 from netsom.graph import gather_rows
+from oracles import unique_build_graph
 
 
 def test_build_path_graph():
@@ -145,6 +146,32 @@ def test_csr_rows_sorted(tmp_path_factory, n, data):
     p.write_text(f"# nodes: {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
     assert _rows_strictly_ascending(build_graph(n, pairs))
     assert _rows_strictly_ascending(load_edge_list(p))
+
+
+def _built(build, n, edges):
+    """The dtype, shape and bytes of both CSR arrays, or the error message."""
+    try:
+        g = build(n, edges)
+    except ValueError as exc:
+        return str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (g.indptr, g.indices)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300), st.booleans(), st.data())
+def test_build_matches_unique_oracle(n, bad_ids, data):
+    """The sorted-key CSR build against the np.unique one: the same bytes,
+    or the same error, for edges repeated in either orientation, isolated
+    nodes, no edges, and (with ``bad_ids``) self-loops and ids out of range."""
+    ids = st.integers(-1, n) if bad_ids else st.integers(0, max(n - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(ids, ids).filter(
+        lambda e: bad_ids or e[0] != e[1]), max_size=200 if bad_ids or n > 1 else 0))
+    again = data.draw(st.lists(st.sampled_from(pairs), max_size=50)) if pairs else []
+    flips = data.draw(st.lists(st.booleans(), min_size=len(again), max_size=len(again)))
+    edges = np.array(pairs + [(v, u) if flip else (u, v)
+                              for (u, v), flip in zip(again, flips)],
+                     dtype=np.int64).reshape(-1, 2)
+    assert _built(build_graph, n, edges) == _built(unique_build_graph, n, edges)
 
 
 def test_edge_array_canonical():

@@ -7,6 +7,7 @@ from netsom import (build_graph, generate_cnn, generate_hk, init_spd,
 from netsom.spd import C, D
 from netsom.som import CellAssignment
 from conftest import random_connected_graph
+from oracles import rounds_run_spd
 
 
 def one_cell_assignment(n):
@@ -315,3 +316,50 @@ class TestRun:
         start_all(monkeypatch, C)
         only = run_spd(g, a, max_rounds=1)
         assert only.terminal_time == 1 and only.fixed_point
+
+
+@pytest.fixture(scope="module")
+def cnn_2000():
+    g = generate_cnn(2000, seed=1)
+    rng = np.random.default_rng(0)
+    return g, CellAssignment(width=3, height=2, x=rng.integers(0, 3, g.n),
+                             y=rng.integers(0, 2, g.n))
+
+
+def same_trace(got, want):
+    return (got.times == want.times and got.fixed_point is want.fixed_point
+            and all(np.array_equal(x, y) for x, y in zip(got.counts, want.counts)))
+
+
+class TestCycleReplay:
+    """A "min_id" run whose strategies return to an earlier round's copies
+    the cycle's counts up to the cap instead of playing it again. On CNN
+    n=2000 seed 1, game seed 1 enters a 5-round cycle at round 20 and
+    closes it on round 25; game seed 7 settles on round 6."""
+
+    @staticmethod
+    def run(monkeypatch, g, a, seed, max_rounds, tie):
+        """(run_spd's trace, the plain loop's trace, rounds run_spd played)"""
+        want = rounds_run_spd(g, a, 1.5, 0.0, seed, max_rounds, tie)
+        played = []
+        monkeypatch.setattr(netsom.spd, "play_round",
+                            lambda *args, **kw: played.append(1) or play_round(*args, **kw))
+        got = run_spd(g, a, T=1.5, eps=0.0, seed=seed, max_rounds=max_rounds, tie=tie)
+        return got, want, len(played)
+
+    @pytest.mark.parametrize("max_rounds", [24, 25, 26, 100])
+    def test_cycle_copied_to_the_cap(self, cnn_2000, monkeypatch, max_rounds):
+        got, want, played = self.run(monkeypatch, *cnn_2000, 1, max_rounds, "min_id")
+        assert same_trace(got, want)
+        assert got.terminal_time == max_rounds and not got.fixed_point
+        assert played == min(max_rounds, 25)
+
+    def test_fixed_point_is_not_a_cycle(self, cnn_2000, monkeypatch):
+        got, want, played = self.run(monkeypatch, *cnn_2000, 7, 100, "min_id")
+        assert same_trace(got, want)
+        assert got.terminal_time == played == 6 and got.fixed_point
+
+    def test_random_ties_play_every_round(self, cnn_2000, monkeypatch):
+        got, want, played = self.run(monkeypatch, *cnn_2000, 1, 100, "random")
+        assert same_trace(got, want)
+        assert played == got.terminal_time > 2
