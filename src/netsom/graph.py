@@ -12,7 +12,7 @@ import os
 import re
 import warnings
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -228,11 +228,23 @@ def write_text(path: str | Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def read_csv(path: str | Path, header_ok, types) -> tuple[list[str], list[tuple], list[int]]:
-    """(header, rows, their line numbers) of a UTF-8 CSV whose header
-    ``header_ok`` accepts, each non-blank row parsed with ``types(header,
-    row)``, one callable per field. Malformed input, or no rows, raises
-    ValueError naming the file, and the line where one applies."""
+def read_table(path: str | Path, header_ok,
+               types) -> tuple[list[str], list[np.ndarray], Sequence[int]]:
+    """(header, one array per field, the line of each row) of a UTF-8 CSV
+    whose header ``header_ok`` accepts: parsed whole by :func:`whole_table`
+    where it can, else one row at a time by :func:`read_csv`."""
+    return (whole_table(Path(path).read_bytes(), header_ok, types)
+            or read_csv(path, header_ok, types))
+
+
+def read_csv(path: str | Path, header_ok,
+             types) -> tuple[list[str], list[np.ndarray], list[int]]:
+    """(header, one array per field, the line of each row) of a UTF-8 CSV
+    whose header ``header_ok`` accepts, each non-blank row parsed with
+    ``types(header, row)``, one callable per field, into the dtype that
+    :data:`C_TYPES` gives each of ``types(header, None)``. Malformed input,
+    or no rows, raises ValueError naming the file, and the line where one
+    applies."""
     reader = csv.reader(_utf8_lines(path))
     rows, lines = [], []
     try:
@@ -253,7 +265,8 @@ def read_csv(path: str | Path, header_ok, types) -> tuple[list[str], list[tuple]
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no rows after the header")
-    return header, rows, lines
+    return header, [np.array(column, dtype=C_TYPES[t])
+                    for column, t in zip(zip(*rows), types(header, None))], lines
 
 
 def _utf8_lines(path: str | Path):
@@ -266,38 +279,19 @@ def _utf8_lines(path: str | Path):
             raise ValueError(f"{path}: not UTF-8 text") from None
 
 
-def lattice(path: str | Path, rows: list[tuple], lines: list[int],
-            keys: int = 0) -> tuple[int, int, list[tuple]]:
-    """(1 + largest X, 1 + largest Y, the rows sorted by (key..., Y, X)) of a
-    table whose rows, read at ``lines``, hold ``keys`` key fields, then X, Y,
-    and list every cell once per key (a trace's key is the time). A repeat
-    names its line; a wrong row count raises before the lattice is allocated."""
-    cells = [row[:keys + 2] for row in rows]
-    width = 1 + max(cell[-2] for cell in cells)
-    height = 1 + max(cell[-1] for cell in cells)
-    seen = set()
-    for cell, line in zip(cells, lines):
-        if cell in seen:
-            raise ValueError(f"{path}:{line}: cell ({cell[-2]}, {cell[-1]}) "
-                             f"is listed twice")
-        seen.add(cell)
-    if len(cells) != len({cell[:-2] for cell in cells}) * width * height:
-        raise ValueError(f"{path}: {len(cells)} rows do not list each cell of "
-                         f"a {width}x{height} lattice once")
-    return width, height, sorted(rows, key=lambda r: (*r[:keys], r[keys + 1], r[keys]))
-
-
-def whole_table(data: bytes, header_ok, types) -> tuple[list[str], list[np.ndarray]] | None:
-    """(header, one array per field) of the bytes of a CSV, parsed whole by
-    numpy's C reader as :func:`read_csv` would parse them one row at a time.
-    ``types(header, None)`` gives each field's :data:`C_TYPES` key. Only
-    ASCII in the plain form qualifies: no quote, CR or NUL, no line past the
-    csv module's field size limit, rows of digits, signs, points, exponents
-    and commas, where the C reader and ``int``/``float`` agree. Any other
-    file, or a value out of its type's range, gives None: read it with
-    :func:`read_csv`, which names the line at fault."""
+def whole_table(data: bytes, header_ok,
+                types) -> tuple[list[str], list[np.ndarray], range] | None:
+    """What :func:`read_csv` makes of the bytes of a CSV, parsed whole by
+    numpy's C reader. ``types(header, None)`` gives each field's
+    :data:`C_TYPES` key. Only ASCII in the plain form qualifies: no quote,
+    CR or NUL, no blank line, so that data row i is line i + 2, no line past
+    the csv module's field size limit, rows of digits, signs, points,
+    exponents and commas, where the C reader and ``int``/``float`` agree.
+    Any other file, or a value out of its type's range, gives None: read it
+    with :func:`read_csv`, which names the line at fault."""
     head, _, body = data.partition(b"\n")
     if (not head.isascii() or any(c in head for c in b'"\r\0') or not body.strip()
+            or body.startswith(b"\n") or b"\n\n" in body
             or body.translate(None, b"0123456789+-.eE,\n")
             or max(map(len, body.split(b"\n"))) > csv.field_size_limit()):
         return None
@@ -319,35 +313,43 @@ def whole_table(data: bytes, header_ok, types) -> tuple[list[str], list[np.ndarr
         if not (np.isfinite(column).all() if column.dtype == np.float64
                 else ((column >= 0) & (column < 2**31)).all()):
             return None
-    return header, columns
+    return header, columns, range(2, 2 + rows.size)
+
+
+def lattice(path: str | Path, columns: list[np.ndarray], lines: Sequence[int],
+            keys: int = 0) -> tuple[int, int, np.ndarray]:
+    """(1 + largest X, 1 + largest Y, the order that sorts the rows by
+    (key..., Y, X)) of a table whose rows, read at ``lines``, hold ``keys``
+    key fields, then X, Y, and list every cell once per key (a trace's key
+    is the time). The first repeat names its line; a wrong row count raises
+    before the lattice is allocated."""
+    *key, x, y = columns[:keys + 2]
+    width, height = int(x.max()) + 1, int(y.max()) + 1
+    order = np.lexsort((x, y, *key[::-1]))  # stable: a repeat follows its first
+    cells = np.column_stack([*key, y, x])[order]
+    repeats = order[1:][(cells[1:] == cells[:-1]).all(axis=1)]
+    if repeats.size:
+        first = repeats.min()
+        raise ValueError(f"{path}:{lines[first]}: cell ({x[first]}, {y[first]}) "
+                         f"is listed twice")
+    groups = 1 + int((cells[1:, :keys] != cells[:-1, :keys]).any(axis=1).sum())
+    if x.size != groups * width * height:
+        raise ValueError(f"{path}: {x.size} rows do not list each cell of "
+                         f"a {width}x{height} lattice once")
+    return width, height, order
 
 
 def read_node_csv(path: str | Path, header: tuple[str, ...],
                   types: tuple[type, ...]) -> list[np.ndarray]:
     """The columns of a CSV keyed by node id in its first column, parsed
-    with ``types`` (:data:`C_TYPES` keys) and sorted by id; the ids must run
-    0..n-1. Parsed whole by :func:`whole_table` where it can, else one row at
-    a time. Malformed input raises ValueError naming the file, and the line
-    where one applies."""
-    table = whole_table(Path(path).read_bytes(), lambda got: got == list(header),
-                        lambda _header, _row: types)
-    if table is not None:
-        columns = table[1]
-        order = columns[0].argsort()
-        if (columns[0][order] == np.arange(order.size)).all():
-            return [column[order] for column in columns]
-    return _node_csv_rows(path, header, types)
-
-
-def _node_csv_rows(path: str | Path, header: tuple[str, ...],
-                   types: tuple[type, ...]) -> list[np.ndarray]:
-    """:func:`read_node_csv` one row at a time."""
-    _, rows, _ = read_csv(path, lambda got: got == list(header),
-                          lambda _header, _row: types)
-    rows.sort(key=lambda r: r[0])
-    if [r[0] for r in rows] != list(range(len(rows))):
+    with ``types`` (:data:`C_TYPES` keys) by :func:`read_table` and sorted
+    by id; the ids must run 0..n-1."""
+    _, columns, _ = read_table(path, lambda got: got == list(header),
+                               lambda _header, _row: types)
+    order = columns[0].argsort()
+    if (columns[0][order] != np.arange(order.size)).any():
         raise ValueError(f"{path}: node ids are not contiguous from 0")
-    return [np.array(column, dtype=C_TYPES[t]) for column, t in zip(zip(*rows), types)]
+    return [column[order] for column in columns]
 
 
 def nonnegative_int(field: str) -> int:

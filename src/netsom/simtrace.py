@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import (finite_float, format_rows, lattice, nonnegative_int,
-                    read_csv, whole_table, write_text)
+                    read_table, write_text)
 
 
 @dataclass
@@ -75,23 +75,23 @@ def write_trace_csv(trace: SimTrace, path: str | Path) -> str:
 
 
 def read_trace_csv(path: str | Path) -> SimTrace:
-    """The trace that :func:`write_trace_csv` writes, in any row order. Its
-    counts are read-only: a run shares one parse between its stages. Parsed
-    whole by :func:`graph.whole_table` where it can, else, and for a file
-    that fails a check, one row at a time, which names the line at fault."""
-    table = whole_table(Path(path).read_bytes(), _header_ok, _types)
-    if table is not None:
-        header, (t, x, y, *counts) = table
-        width, height = int(x.max()) + 1, int(y.max()) + 1
-        order = np.lexsort((x, y, t))
-        keys = np.column_stack([t, y, x])[order]
-        ordered = (t[1:] >= t[:-1]).all()
-        repeats = (keys[1:] == keys[:-1]).all(axis=1).any()
-        snapshots = 1 + int((t[1:] != t[:-1]).sum())
-        if ordered and not repeats and t.size == snapshots * width * height:
-            return _trace(header, width, height, keys[:, 0],
-                          np.column_stack(counts)[order])
-    return _trace_rows(path)
+    """The trace that :func:`write_trace_csv` writes, in any row order, read
+    by :func:`graph.read_table`. Its counts are read-only: a run shares one
+    parse between its stages."""
+    header, columns, lines = read_table(path, _header_ok, _types)
+    times = columns[0]
+    late = np.flatnonzero(times[1:] < times[:-1])
+    if late.size:
+        raise ValueError(f"{path}:{lines[late[0] + 1]}: snapshot times "
+                         f"must be strictly increasing")
+    width, height, order = lattice(path, columns, lines, keys=1)
+    trace = SimTrace(state_names=tuple(header[3:]), width=width, height=height,
+                     time_label=header[0])
+    values = np.column_stack(columns[3:])[order]
+    values.setflags(write=False)
+    for lo in range(0, len(values), trace.n_cells):  # one snapshot per block
+        trace.append(times[order[lo]], values[lo:lo + trace.n_cells].T)
+    return trace
 
 
 def _header_ok(header: list[str]) -> bool:
@@ -100,28 +100,3 @@ def _header_ok(header: list[str]) -> bool:
 
 def _types(header: list[str], _row) -> tuple:
     return (finite_float,) + (nonnegative_int,) * (len(header) - 1)
-
-
-def _trace_rows(path: str | Path) -> SimTrace:
-    """:func:`read_trace_csv` one row at a time."""
-    header, rows, lines = read_csv(path, _header_ok, _types)
-    times = [r[0] for r in rows]
-    for i in range(1, len(rows)):
-        if times[i] < times[i - 1]:
-            raise ValueError(f"{path}:{lines[i]}: snapshot times "
-                             f"must be strictly increasing")
-    width, height, rows = lattice(path, rows, lines, keys=1)
-    return _trace(header, width, height, [r[0] for r in rows],
-                  np.array([r[3:] for r in rows], dtype=np.int64))
-
-
-def _trace(header: list[str], width: int, height: int, times,
-           values: np.ndarray) -> SimTrace:
-    """The trace of a checked table: ``times`` and the state counts
-    ``values`` of its rows, sorted by (time, Y, X)."""
-    trace = SimTrace(state_names=tuple(header[3:]), width=width, height=height,
-                     time_label=header[0])
-    values.setflags(write=False)
-    for lo in range(0, len(values), trace.n_cells):  # one snapshot per block
-        trace.append(times[lo], values[lo:lo + trace.n_cells].T)
-    return trace

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, ConfigError, check
 from .graph import (finite_float, format_rows, lattice, nonnegative_int,
-                    read_csv, read_node_csv, write_text)
+                    read_node_csv, read_table, write_text)
 from .metrics import FEATURE_NAMES, NodeFeatures
 
 SIGMA_END = 0.5       # end radius; the start radius is max(width, height)/2
@@ -299,17 +299,18 @@ def write_cell_stats_csv(stats: CellStats, path: str | Path) -> str:
 
 def read_cell_stats_csv(path: str | Path) -> CellStats:
     def types(header, row):
-        # an empty cell (count 0) may leave its means blank; any other cell
-        # needs finite numbers
-        mean = _float_or_blank if row[2:3] == ["0"] else finite_float
+        # an empty cell (count 0) may leave its means blank, which only the
+        # row route parses (row None is the C route); any other cell needs
+        # finite numbers
+        mean = _float_or_blank if row and row[2:3] == ["0"] else finite_float
         return (nonnegative_int,) * 3 + (mean,) * (len(header) - 3)
 
-    header, rows, lines = read_csv(
+    header, columns, lines = read_table(
         path, lambda h: h[:3] == ["X", "Y", "count"] and len(h) > 3, types)
-    width, height, rows = lattice(path, rows, lines)
+    width, height, order = lattice(path, columns, lines)
     names = tuple(h.removeprefix("mean_") for h in header[3:])
-    counts = np.array([r[2] for r in rows], dtype=np.int64)
-    means = np.array([r[3:] for r in rows], dtype=np.float64)
+    counts = columns[2][order]
+    means = np.column_stack(columns[3:])[order]
     means[counts == 0] = np.nan
     counts.setflags(write=False)  # a run may share one parse between stages
     means.setflags(write=False)

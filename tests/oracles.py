@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the metric tests, the degree
 assortativity that the generator tests check, one-row-at-a-time
-readers of the four formats that a run parses whole, and the plain forms
+readers of the five formats that a run parses whole, and the plain forms
 of the CSR build and the game loop that the library runs faster.
 
 These deliberately avoid the library's algorithms: betweenness enumerates
@@ -11,6 +11,7 @@ with Python's ``int`` and ``float``.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import re
 from collections import deque
@@ -18,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from netsom import (CellAssignment, NodeFeatures, SimTrace, build_graph,
+from netsom import (CellAssignment, CellStats, NodeFeatures, SimTrace, build_graph,
                     init_spd, play_round, update_strategies)
-from netsom.graph import Graph, finite_float, lattice, nonnegative_int, read_csv
+from netsom.graph import Graph, finite_float, nonnegative_int
 from netsom.spd import STATE_NAMES
 
 
@@ -203,9 +204,53 @@ def rows_load_edge_list(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _read_csv(path, header_ok, types):
+    """(header, rows, their line numbers), each non-blank row parsed with
+    ``types(header, row)``."""
+    reader = csv.reader(_lines(path))
+    rows, lines = [], []
+    try:
+        header = next(reader, [])
+        if not header_ok(header):
+            raise ValueError(f"{path}: unexpected header {header}")
+        for row in filter(None, reader):
+            fields = types(header, row)
+            try:
+                if len(row) != len(fields):
+                    raise ValueError
+                rows.append(tuple(t(v) for t, v in zip(fields, row)))
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{','.join(header)}, got {row}") from None
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no rows after the header")
+    return header, rows, lines
+
+
+def _lattice(path, rows, lines, keys=0):
+    """(width, height, the rows sorted by (key..., Y, X)) of rows that hold
+    ``keys`` key fields, then X, Y, and list every cell once per key."""
+    cells = [row[:keys + 2] for row in rows]
+    width = 1 + max(cell[-2] for cell in cells)
+    height = 1 + max(cell[-1] for cell in cells)
+    seen = set()
+    for cell, line in zip(cells, lines):
+        if cell in seen:
+            raise ValueError(f"{path}:{line}: cell ({cell[-2]}, {cell[-1]}) "
+                             f"is listed twice")
+        seen.add(cell)
+    if len(cells) != len({cell[:-2] for cell in cells}) * width * height:
+        raise ValueError(f"{path}: {len(cells)} rows do not list each cell of "
+                         f"a {width}x{height} lattice once")
+    return width, height, sorted(rows, key=lambda r: (*r[:keys], r[keys + 1], r[keys]))
+
+
 def _node_rows(path, header, types):
-    _, rows, _ = read_csv(path, lambda got: got == list(header),
-                          lambda _header, _row: types)
+    _, rows, _ = _read_csv(path, lambda got: got == list(header),
+                           lambda _header, _row: types)
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: node ids are not contiguous from 0")
@@ -225,8 +270,27 @@ def rows_read_assignment_csv(path):
     return CellAssignment(width=int(x.max()) + 1, height=int(y.max()) + 1, x=x, y=y)
 
 
+def _float_or_blank(field):
+    return float(field) if field else np.nan
+
+
+def rows_read_cell_stats_csv(path):
+    def types(header, row):
+        mean = _float_or_blank if row[2:3] == ["0"] else finite_float
+        return (nonnegative_int,) * 3 + (mean,) * (len(header) - 3)
+
+    header, rows, lines = _read_csv(
+        path, lambda h: h[:3] == ["X", "Y", "count"] and len(h) > 3, types)
+    width, height, rows = _lattice(path, rows, lines)
+    counts = np.array([r[2] for r in rows], dtype=np.int64)
+    means = np.array([r[3:] for r in rows], dtype=np.float64)
+    means[counts == 0] = np.nan
+    return CellStats(width=width, height=height, counts=counts, means=means,
+                     feature_names=tuple(h.removeprefix("mean_") for h in header[3:]))
+
+
 def rows_read_trace_csv(path):
-    header, rows, lines = read_csv(
+    header, rows, lines = _read_csv(
         path, lambda h: len(h) >= 4 and h[1:3] == ["X", "Y"],
         lambda h, _row: (finite_float,) + (nonnegative_int,) * (len(h) - 1))
     times = [r[0] for r in rows]
@@ -234,7 +298,7 @@ def rows_read_trace_csv(path):
         if times[i] < times[i - 1]:
             raise ValueError(f"{path}:{lines[i]}: snapshot times "
                              f"must be strictly increasing")
-    width, height, rows = lattice(path, rows, lines, keys=1)
+    width, height, rows = _lattice(path, rows, lines, keys=1)
     trace = SimTrace(state_names=tuple(header[3:]), width=width, height=height,
                      time_label=header[0])
     values = np.array([r[3:] for r in rows], dtype=np.int64)

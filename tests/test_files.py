@@ -17,7 +17,8 @@ from netsom.metrics import read_features_csv, write_features_csv
 from netsom.som import (load_som_json, read_assignment_csv, read_cell_stats_csv,
                         save_som_json, write_assignment_csv, write_cell_stats_csv)
 from oracles import (rows_load_edge_list, rows_read_assignment_csv,
-                     rows_read_features_csv, rows_read_trace_csv)
+                     rows_read_cell_stats_csv, rows_read_features_csv,
+                     rows_read_trace_csv)
 
 # A valid file of each format. Every integer is a single digit, so four
 # mutations grow a number to at most five digits, or, through the long
@@ -66,7 +67,8 @@ def test_mutated_file_fails_only_as_value_error_naming_it(tmp_path_factory, fmt,
 
 # the one-row-at-a-time reference of each format that is parsed whole
 ROWS = {"edges": rows_load_edge_list, "features": rows_read_features_csv,
-        "assign": rows_read_assignment_csv, "trace": rows_read_trace_csv}
+        "assign": rows_read_assignment_csv, "cells": rows_read_cell_stats_csv,
+        "trace": rows_read_trace_csv}
 
 
 def _outcome(read, path):
@@ -109,7 +111,8 @@ def test_mutated_file_reads_as_it_does_row_by_row(tmp_path_factory, fmt, ops):
 # by hand: what numpy's C reader would take differently from int() and
 # float() -- a trailing comment, an underscore, a tab, CRLF, a non-ASCII
 # digit (U+0661, Arabic-Indic one) -- rows in another order, values out of
-# range, and fields past the csv module's size limit
+# range, fields past the csv module's size limit, and a blank line ahead of
+# the line a check names
 LONG = "0" * 200000
 HAND_MADE = [
     ("edges", "# nodes: 4\n0 1 # x\n1 2\n"),
@@ -152,6 +155,15 @@ HAND_MADE = [
                  "2,2,2,0.5,1.5,0\n"),
     ("assign", "node,X,Y\n0,2147483648,0\n1,1,0\n2,0,1\n"),
     ("trace", f"t{LONG},X,Y,S\n0,0,0,1\n"),
+    ("cells", "X,Y,count,mean_k\n0,0,2,3\n1,0,0,\n"),
+    ("cells", "X,Y,count,mean_k\r\n0,0,2,3\r\n1,0,1,4\r\n"),
+    ("cells", "X,Y,count,mean_k\n0,0,2,3\n1,0,1_0,4\n"),
+    ("cells", "X,Y,count,mean_k\n0,0,2,3\n1,0,1,4\n0,0,1,5\n"),
+    ("cells", "X,Y,count,mean_k\n1,0,1,4\n0,0,2,3\n1,0,1,4\n0,0,2,3\n"),
+    ("cells", "X,Y,count,mean_k\n0,0,2,3\n\n1,0,1,4\n0,0,1,5\n"),
+    ("trace", "t,X,Y,S,I\n0,0,0,3,1\n\n0,1,0,2,0\n0,0,0,2,2\n0.5,1,0,1,1\n"),
+    ("trace", "t,X,Y,S,I\n0,0,0,3,1\n0,1,0,2,0\n\n0.5,0,0,2,2\n0,1,0,1,1\n"),
+    ("assign", "node,X,Y\n0,0,0\n\n1,1,0\n2,0,1\n"),
 ]
 
 

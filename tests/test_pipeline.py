@@ -11,7 +11,7 @@ from netsom import (build_graph, compute_all, generate_cnn, generate_hk,
                     init_sir, metrics, play_round, read_trace_csv,
                     render_pie_lattice, run_sir, run_spd, train_som,
                     update_strategies, write_trace_csv)
-from netsom import graph, pipeline, simtrace
+from netsom import graph, pipeline
 from netsom.cli import main
 from netsom.config import CHOICES, RANGES
 from netsom.pipeline import (ConfigError, PipelineError, default_timeline_times,
@@ -271,8 +271,7 @@ class TestFullRun:
             raise AssertionError("a file of the run was read one row at a time")
 
         monkeypatch.setattr(graph, "_edge_list_rows", refuse)
-        monkeypatch.setattr(graph, "_node_csv_rows", refuse)
-        monkeypatch.setattr(simtrace, "_trace_rows", refuse)
+        monkeypatch.setattr(graph, "read_csv", refuse)
         full_run(CRITERION_11_CONFIG, tmp_path, echo=lambda *_: None)
         assert dir_digest(tmp_path) == CRITERION_11_DIGESTS
 
